@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "support/parallel.hpp"
 
 int main() {
   using namespace apgre;

@@ -9,7 +9,8 @@
 //      sweep and merges them into global BC scores, with
 //        * coarse-grained parallelism across sub-graphs and
 //        * fine-grained level-synchronous parallelism inside large ones
-//      (the paper's two-level parallelism).
+//      (the paper's two-level parallelism), both on the work-stealing
+//      scheduler (support/sched/scheduler.hpp).
 //
 // Two deliberate corrections to the paper's pseudocode (validated against
 // Brandes and the naive oracle; see DESIGN.md §2):
@@ -29,11 +30,12 @@ namespace apgre {
 
 struct ApgreOptions {
   PartitionOptions partition;
-  /// Sub-graphs holding at least this fraction of all arcs are processed
-  /// one at a time with fine-grained (level-synchronous) inner parallelism;
-  /// the rest are distributed across threads and processed serially inside.
+  /// Sub-graphs holding at least this fraction of all arcs (and at least
+  /// fine_grain_min_arcs) are "large": split into root-batch tasks, or —
+  /// with too few roots to split — scored by the fine-grained
+  /// level-synchronous kernel. Smaller ones run whole as one serial task.
   double fine_grain_fraction = 0.125;
-  /// Sub-graphs with fewer arcs than this never use inner parallelism.
+  /// Sub-graphs with fewer arcs than this are never "large".
   EdgeId fine_grain_min_arcs = 1u << 14;
   /// Use a direction-optimising (Beamer-style top-down/bottom-up) forward
   /// phase inside the fine-grained kernel — the composition of the paper's
@@ -52,12 +54,11 @@ struct ApgreStats {
   double peel_seconds = 0.0;
   Vertex peeled_vertices = 0;
   double core_fraction = 1.0;
-  /// BC of the sub-graphs processed with the fine-grained level-synchronous
-  /// kernel (flat mode: the large "top" tier; scheduler mode: the dedicated
-  /// sub-graphs too large to root-split).
+  /// Summed wall time of the dedicated sub-graphs — those too large to
+  /// root-split, scored with the fine-grained level-synchronous kernel.
   double top_bc_seconds = 0.0;
-  /// BC of everything else (flat mode: the coarse OpenMP loop; scheduler
-  /// mode: the work-stealing run over (sub-graph, root-batch) tasks).
+  /// Wall time of the whole work-stealing run over (sub-graph, root-batch)
+  /// tasks, dedicated sub-graphs included.
   double rest_bc_seconds = 0.0;
   double total_seconds = 0.0;
 
@@ -70,8 +71,7 @@ struct ApgreStats {
   double partial_redundancy = 0.0;
   double total_redundancy = 0.0;
 
-  /// Two-level scheduler breakdown (zero when the flat loop ran). The
-  /// adaptive kernel choice (SchedulerOptions::adaptive_kernel) is recorded
+  /// Two-level scheduler breakdown. The adaptive kernel choice (SchedulerOptions::adaptive_kernel) is recorded
   /// here: `num_fine_subgraphs` ran whole as dedicated tasks with the
   /// scheduler-native level-synchronous kernel (nested parallel_for),
   /// `num_batch_tasks` + `num_subgraph_tasks` ran the serial kernel on
@@ -79,15 +79,18 @@ struct ApgreStats {
   std::size_t num_fine_subgraphs = 0;  ///< dedicated level-synchronous runs
   std::size_t num_batch_tasks = 0;     ///< root-batch tasks of split sub-graphs
   std::size_t num_subgraph_tasks = 0;  ///< whole-sub-graph serial tasks
+  int sched_workers = 0;               ///< width of the pool the solve ran on
   std::uint64_t sched_tasks = 0;       ///< tasks executed by the scheduler
   std::uint64_t sched_steals = 0;      ///< successful work steals
   double sched_idle_seconds = 0.0;     ///< summed worker idle time
 };
 
-/// Full APGRE run: decomposition + reach counting + scoring.
+/// Full APGRE run: decomposition + reach counting + scoring. `threads` is
+/// the solve's width (BcOptions::threads semantics: 0 = the shared pool;
+/// see WorkStealingScheduler::pool_for).
 std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts = {},
                              ApgreStats* stats = nullptr,
-                             const SchedulerOptions& sched = {});
+                             const SchedulerOptions& sched = {}, int threads = 0);
 
 /// Scoring only, on a caller-supplied decomposition whose alpha/beta reach
 /// counts are already filled in (compute_reach_counts). This is the Solver
@@ -97,24 +100,22 @@ std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts = {},
 /// field is overwritten; total_seconds covers partition + reach + scoring.
 std::vector<double> apgre_bc_with_decomposition(
     const CsrGraph& g, const Decomposition& dec, const ApgreOptions& opts = {},
-    ApgreStats* stats = nullptr, const SchedulerOptions& sched = {});
+    ApgreStats* stats = nullptr, const SchedulerOptions& sched = {},
+    int threads = 0);
 
-/// BC scores of one sub-graph in local ids (paper Algorithm 2, BCinSG).
-/// Exposed for tests and the breakdown benchmark. `parallel_inner` selects
-/// the level-synchronous parallel kernel; the serial kernel otherwise.
-/// `hybrid_inner` additionally enables the direction-optimising forward
-/// phase (only meaningful with parallel_inner).
-std::vector<double> apgre_subgraph_bc(const Subgraph& sg, bool parallel_inner,
-                                      bool hybrid_inner = false);
+/// BC scores of one sub-graph in local ids (paper Algorithm 2, BCinSG),
+/// serial kernel — deterministic, so the Solver's contribution store and
+/// the tests use it as the per-block oracle.
+std::vector<double> apgre_subgraph_bc(const Subgraph& sg);
 
-/// Sub-graph BC with the scheduler-native level-synchronous kernel: the
-/// per-level loops run as WorkStealingScheduler::parallel_for calls instead
-/// of OpenMP regions, so concurrent invocations from different threads are
-/// safe (no process-wide kernel lock). Default pool options use the shared
-/// process-wide scheduler; explicit thread counts get a private one.
-/// Exposed for the differential tests against the serial oracle.
+/// The same scores from the fine-grained level-synchronous kernel the
+/// dedicated large sub-graphs run: every BFS level is one
+/// WorkStealingScheduler::parallel_for on the pool for `threads`, so
+/// concurrent invocations from different threads are safe. `hybrid_inner`
+/// enables the direction-optimising forward phase. Exposed for the
+/// differential tests against the serial kernel.
 std::vector<double> apgre_subgraph_bc_scheduled(const Subgraph& sg,
                                                 bool hybrid_inner = false,
-                                                const SchedulerOptions& sched = {});
+                                                int threads = 0);
 
 }  // namespace apgre

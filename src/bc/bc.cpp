@@ -16,7 +16,6 @@
 #include "graph/mutate.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
@@ -34,24 +33,30 @@ std::vector<double> run_naive(const CsrGraph& g, const BcOptions&, BcResult&) {
 std::vector<double> run_serial(const CsrGraph& g, const BcOptions&, BcResult&) {
   return brandes_bc(g);
 }
-std::vector<double> run_preds(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return parallel_preds_bc(g);
+std::vector<double> run_preds(const CsrGraph& g, const BcOptions& opts,
+                              BcResult&) {
+  return parallel_preds_bc(g, opts.threads);
 }
-std::vector<double> run_succs(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return parallel_succs_bc(g);
+std::vector<double> run_succs(const CsrGraph& g, const BcOptions& opts,
+                              BcResult&) {
+  return parallel_succs_bc(g, opts.threads);
 }
-std::vector<double> run_lockfree(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return lockfree_bc(g);
+std::vector<double> run_lockfree(const CsrGraph& g, const BcOptions& opts,
+                                 BcResult&) {
+  return lockfree_bc(g, opts.threads);
 }
-std::vector<double> run_coarse(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return coarse_bc(g);
+std::vector<double> run_coarse(const CsrGraph& g, const BcOptions& opts,
+                               BcResult&) {
+  return coarse_bc(g, opts.threads);
 }
-std::vector<double> run_hybrid(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return hybrid_bc(g);
+std::vector<double> run_hybrid(const CsrGraph& g, const BcOptions& opts,
+                               BcResult&) {
+  return hybrid_bc(g, {}, opts.threads);
 }
 std::vector<double> run_apgre(const CsrGraph& g, const BcOptions& opts,
                               BcResult& result) {
-  return apgre_bc(g, opts.apgre, &result.apgre_stats, opts.scheduler);
+  return apgre_bc(g, opts.apgre, &result.apgre_stats, opts.scheduler,
+                  opts.threads);
 }
 std::vector<double> run_algebraic(const CsrGraph& g, const BcOptions&, BcResult&) {
   return algebraic_bc(g);
@@ -82,11 +87,11 @@ const std::array<AlgorithmInfo, kNumAlgorithms> kRegistry = {{
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
      /*test_only=*/false},
     {Algorithm::kLockFree, "lockfree", nullptr,
-     "pull-based level-synchronous, no atomics (Tan et al.)", &run_lockfree,
+     "pull-based level-synchronous, no atomic RMWs (Tan et al.)", &run_lockfree,
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
      /*test_only=*/false},
     {Algorithm::kCoarse, "coarse", "async",
-     "source-parallel with per-thread buffers", &run_coarse,
+     "source-parallel with per-slot buffers", &run_coarse,
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
      /*test_only=*/false},
     {Algorithm::kHybrid, "hybrid", nullptr,
@@ -148,9 +153,11 @@ Status validate_options(const BcOptions& opts) {
     return Status::invalid_option("algorithm value " + std::to_string(index) +
                                   " is not in the registry");
   }
-  if (opts.threads < 0) {
-    return Status::invalid_option("threads must be >= 0, got " +
-                                  std::to_string(opts.threads));
+  if (opts.threads < 0 || opts.threads > WorkStealingScheduler::kMaxWorkers) {
+    return Status::invalid_option(
+        "threads must be in [0, " +
+        std::to_string(WorkStealingScheduler::kMaxWorkers) + "], got " +
+        std::to_string(opts.threads));
   }
   const ApgreOptions& a = opts.apgre;
   if (!(a.fine_grain_fraction >= 0.0 && a.fine_grain_fraction <= 1.0)) {
@@ -159,10 +166,6 @@ Status validate_options(const BcOptions& opts) {
         std::to_string(a.fine_grain_fraction));
   }
   const SchedulerOptions& s = opts.scheduler;
-  if (s.threads < 0) {
-    return Status::invalid_option("scheduler.threads must be >= 0, got " +
-                                  std::to_string(s.threads));
-  }
   if (s.grain < 0) {
     return Status::invalid_option("scheduler.grain must be >= 0, got " +
                                   std::to_string(s.grain));
@@ -180,7 +183,6 @@ BcResult Solver::solve(const BcOptions& opts) {
   if (!result.status.ok()) return result;
 
   const CsrGraph& g = *g_;
-  ThreadBudget budget(opts.threads > 0 ? opts.threads : num_threads());
   const AlgorithmInfo& info = algorithm_info(opts.algorithm);
   TraceSpan span(std::string("bc/") + info.name);
 
@@ -210,7 +212,7 @@ BcResult Solver::solve(const BcOptions& opts) {
       {
         APGRE_TRACE_SPAN("apgre/decompose");
         ScopedTimer t(stats.partition_seconds);
-        *dec_ = decompose(base, key);
+        *dec_ = decompose(base, key, opts.threads);
         // Weighted core solve: anchors absorb their peeled subtrees as
         // derived pendant multiplicities (gamma + weighted reach), so the
         // kernels never traverse the fringe.
@@ -223,7 +225,8 @@ BcResult Solver::solve(const BcOptions& opts) {
         ScopedTimer t(stats.reach_seconds);
         compute_reach_counts(base, *dec_, key.reach,
                              reduced_ != nullptr ? &peel_->anchor_weight
-                                                 : nullptr);
+                                                 : nullptr,
+                             opts.threads);
       }
       dec_key_ = key;
     }
@@ -243,8 +246,8 @@ BcResult Solver::solve(const BcOptions& opts) {
       stats.num_subgraphs = dec_->subgraphs.size();
     } else {
       const CsrGraph& base = reduced_ != nullptr ? *reduced_ : g;
-      result.scores = apgre_bc_with_decomposition(base, *dec_, opts.apgre,
-                                                  &stats, opts.scheduler);
+      result.scores = apgre_bc_with_decomposition(
+          base, *dec_, opts.apgre, &stats, opts.scheduler, opts.threads);
       if (reduced_ != nullptr) expand_peeled_scores(*peel_, result.scores);
     }
     result.apgre_stats = stats;
@@ -299,7 +302,7 @@ void Solver::build_store() {
   tracked_scores_.assign(g_->num_vertices(), 0.0);
   for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
     const Subgraph& sg = dec.subgraphs[sgi];
-    contrib_[sgi] = apgre_subgraph_bc(sg, /*parallel_inner=*/false);
+    contrib_[sgi] = apgre_subgraph_bc(sg);
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       tracked_scores_[sg.to_global[local]] += contrib_[sgi][local];
     }
@@ -410,7 +413,7 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     }
     sg.graph = CsrGraph::from_edges(sg.num_vertices(), std::move(arcs),
                                     /*directed=*/false);
-    contrib_[sgi] = apgre_subgraph_bc(sg, /*parallel_inner=*/false);
+    contrib_[sgi] = apgre_subgraph_bc(sg);
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       double& score = tracked_scores_[sg.to_global[local]];
       score += contrib_[sgi][local];
@@ -431,60 +434,6 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
   refresh_top_subgraph();
   g_ = &g;
   return resolved;
-}
-
-void Solver::rebind_local_insert(const CsrGraph& g, Vertex u, Vertex v) {
-  if (track_ && store_valid_) {
-    // A plain patch would leave the contribution store stale; route through
-    // the store-maintaining path instead.
-    apply_local_update(g, u, v, /*inserting=*/true);
-    return;
-  }
-  if (dec_ == nullptr) {
-    rebind(g);
-    return;
-  }
-  APGRE_ASSERT(!g.directed() && g.num_vertices() == dec_->num_vertices);
-  if (reduced_ != nullptr &&
-      (!peel_->in_core[u] || !peel_->in_core[v])) {
-    rebind(g);
-    return;
-  }
-  g_ = &g;
-
-  // A non-articulation vertex lives in exactly one sub-graph; find u's and
-  // patch only that sub-graph's induced arc set. The decomposition counters
-  // and every reach count survive (see the header contract).
-  for (std::size_t sgi = 0; sgi < dec_->subgraphs.size(); ++sgi) {
-    Subgraph& sg = dec_->subgraphs[sgi];
-    Vertex lu = kInvalidVertex;
-    Vertex lv = kInvalidVertex;
-    for (Vertex local = 0; local < sg.num_vertices(); ++local) {
-      if (sg.to_global[local] == u) lu = local;
-      if (sg.to_global[local] == v) lv = local;
-    }
-    if (lu == kInvalidVertex) continue;
-    APGRE_ASSERT(lv != kInvalidVertex);
-    EdgeList arcs(sg.graph.arcs());
-    arcs.push_back(Edge{lu, lv});
-    arcs.push_back(Edge{lv, lu});
-    sg.graph = CsrGraph::from_edges(sg.num_vertices(), std::move(arcs),
-                                    /*directed=*/false);
-    // The chord may promote this sub-graph to top (same tie-break as
-    // decompose(): arcs, then vertices).
-    const Subgraph& best = dec_->subgraphs[dec_->top_subgraph];
-    if (sg.num_arcs() > best.num_arcs() ||
-        (sg.num_arcs() == best.num_arcs() &&
-         sg.num_vertices() > best.num_vertices())) {
-      dec_->top_subgraph = sgi;
-    }
-    if (reduced_ != nullptr) *reduced_ = with_edge_inserted(*reduced_, u, v);
-    metrics().counter("bc.solver.local_rebinds").add();
-    return;
-  }
-  // u in no sub-graph (isolated before the insert) contradicts the kLocal
-  // precondition; re-decompose rather than score a stale cache.
-  rebind(g);
 }
 
 BcResult betweenness(const CsrGraph& g, const BcOptions& opts) {

@@ -46,8 +46,8 @@ enum class Algorithm {
   kBrandesSerial, ///< Brandes 2001; the paper's `serial` baseline
   kParallelPreds, ///< level-synchronous, predecessor lists (Bader-Madduri)
   kParallelSuccs, ///< level-synchronous, successor scans (Madduri et al.)
-  kLockFree,      ///< pull-based level-synchronous, no atomics (Tan et al.)
-  kCoarse,        ///< source-parallel, per-thread buffers (`async` stand-in)
+  kLockFree,      ///< pull-based level-synchronous, no atomic RMWs (Tan et al.)
+  kCoarse,        ///< source-parallel, per-slot buffers (`async` stand-in)
   kHybrid,        ///< direction-optimising BFS (Beamer; Ligra's hybrid)
   kApgre,         ///< the paper's contribution
   kAlgebraic,     ///< 64-wide batched Brandes (Buluc-Gilbert style)
@@ -72,7 +72,7 @@ struct AlgorithmInfo {
   std::vector<double> (*kernel)(const CsrGraph& g, const BcOptions& opts,
                                 BcResult& result) = nullptr;
   bool exact = true;       ///< scores match Brandes exactly (oracle set)
-  bool parallel = false;   ///< uses the thread budget
+  bool parallel = false;   ///< runs on the work-stealing scheduler
   bool comparison = false; ///< member of the paper's Tables 2/3 set
   bool test_only = false;  ///< reference oracle, excluded from benches
 };
@@ -93,13 +93,17 @@ std::string algorithm_name(Algorithm algorithm);
 
 struct BcOptions {
   Algorithm algorithm = Algorithm::kApgre;
-  /// Thread budget; 0 keeps the runtime default.
+  /// The solve's width, for every parallel kernel: 0 runs on the shared
+  /// pool (max(1, hardware_concurrency()) workers), as does a value equal
+  /// to that width; any other value runs on a pool of exactly that many
+  /// workers (WorkStealingScheduler::pool_for). 1 runs inline on the
+  /// calling thread. At most WorkStealingScheduler::kMaxWorkers.
   int threads = 0;
   /// Halve the scores of symmetric graphs (conventional undirected BC).
   bool undirected_halving = false;
   /// APGRE tuning (ignored by other algorithms).
   ApgreOptions apgre;
-  /// Work-stealing scheduler knobs for APGRE's scoring phase
+  /// APGRE's scoring-phase knobs: grain, steal policy, adaptive kernel
   /// (support/sched/scheduler.hpp; ignored by other algorithms).
   SchedulerOptions scheduler;
   /// kSampling: number of sampled sources (0 = sqrt(|V|)) and seed.
@@ -168,19 +172,6 @@ class Solver {
   /// decomposition: the next APGRE solve re-decomposes. `g` must outlive
   /// the Solver, like the constructor argument.
   void rebind(const CsrGraph& g);
-
-  /// Rebind to `g`, which must equal the previous graph plus exactly one
-  /// undirected edge {u, v} (global ids) classified kLocalInsert by
-  /// BlockCutQueries::classify_update on the previous graph — an insert
-  /// strictly inside one biconnected component between two
-  /// non-articulation vertices, symmetric graphs only. Such a chord leaves
-  /// the block-cut tree, every other sub-graph, and all alpha/beta/gamma
-  /// reach counts unchanged, so the cached decomposition is patched in
-  /// place (only the affected sub-graph's induced arcs are rebuilt) and
-  /// the next solve skips re-decomposition. Falls back to rebind() when
-  /// nothing is cached. Violating the precondition silently corrupts
-  /// later APGRE scores — callers must classify first.
-  void rebind_local_insert(const CsrGraph& g, Vertex u, Vertex v);
 
   /// Opt in to the per-sub-graph contribution store. The next APGRE solve
   /// additionally records each sub-graph's local score vector (serial

@@ -23,7 +23,7 @@ struct BrandesScratch {
 
   // Observability tallies accumulated across sources; the driving algorithm
   // flushes them into the metrics registry once per run (the scratch is
-  // per-thread, so tallying here stays contention-free).
+  // per-slot, so tallying here stays contention-free).
   std::uint64_t sources = 0;
   std::uint64_t traversed_arcs = 0;
   double forward_seconds = 0.0;

@@ -1,6 +1,6 @@
-// Coarse-grained source-parallel BC: sources are distributed over threads
-// with dynamic scheduling; every thread runs the serial Brandes kernel into
-// a private score buffer, merged at the end. No barriers between sources —
+// Coarse-grained source-parallel BC: sources are distributed over the
+// scheduler's slots in small chunks; every slot runs the serial Brandes
+// kernel into a private score buffer, merged at the end. No barriers between sources —
 // this is the shared-memory stand-in for the Galois-based asynchronous
 // algorithm of Prountzos & Pingali, PPoPP 2013 (the paper's `async`
 // column), whose defining property is the absence of level synchronisation
@@ -13,6 +13,8 @@
 
 namespace apgre {
 
-std::vector<double> coarse_bc(const CsrGraph& g);
+/// `threads` is the solve's width (BcOptions::threads semantics; 0 = the
+/// shared pool, see WorkStealingScheduler::pool_for).
+std::vector<double> coarse_bc(const CsrGraph& g, int threads = 0);
 
 }  // namespace apgre

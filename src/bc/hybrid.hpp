@@ -4,7 +4,7 @@
 // either top-down (frontier pushes) or bottom-up (unvisited vertices pull
 // from in-neighbours), switching when the frontier's outgoing-edge volume
 // crosses the Beamer thresholds. The backward dependency sweep is the
-// successor pull of `succs`.
+// successor pull of `succs`. Implemented in bc/level_sync.cpp.
 #pragma once
 
 #include <vector>
@@ -20,6 +20,9 @@ struct HybridOptions {
   double beta = 20.0;
 };
 
-std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts = {});
+/// `threads` is the solve's width (BcOptions::threads semantics; 0 = the
+/// shared pool, see WorkStealingScheduler::pool_for).
+std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts = {},
+                              int threads = 0);
 
 }  // namespace apgre

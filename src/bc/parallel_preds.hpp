@@ -3,6 +3,7 @@
 // the SSCA v2.2 benchmark). Vertices of a BFS level are expanded in
 // parallel; sigma and the backward dependency accumulation use atomic
 // updates (the synchronisation cost the `succs` variant removes).
+// Implemented in bc/level_sync.cpp.
 #pragma once
 
 #include <vector>
@@ -11,6 +12,8 @@
 
 namespace apgre {
 
-std::vector<double> parallel_preds_bc(const CsrGraph& g);
+/// `threads` is the solve's width (BcOptions::threads semantics; 0 = the
+/// shared pool, see WorkStealingScheduler::pool_for).
+std::vector<double> parallel_preds_bc(const CsrGraph& g, int threads = 0);
 
 }  // namespace apgre

@@ -3,6 +3,7 @@
 // IPDPS 2009 (the paper's `succs` baseline). The backward phase pulls each
 // vertex's dependency from its successors, so each delta cell is written by
 // exactly one thread and the phase-2 locks/atomics of `preds` disappear.
+// Implemented in bc/level_sync.cpp.
 #pragma once
 
 #include <vector>
@@ -11,6 +12,8 @@
 
 namespace apgre {
 
-std::vector<double> parallel_succs_bc(const CsrGraph& g);
+/// `threads` is the solve's width (BcOptions::threads semantics; 0 = the
+/// shared pool, see WorkStealingScheduler::pool_for).
+std::vector<double> parallel_succs_bc(const CsrGraph& g, int threads = 0);
 
 }  // namespace apgre

@@ -26,8 +26,10 @@ std::vector<double> weighted_naive_bc(const WeightedCsrGraph& g);
 
 std::vector<double> weighted_brandes_bc(const WeightedCsrGraph& g);
 
+/// `threads`: the solve's width (BcOptions::threads semantics).
 std::vector<double> weighted_apgre_bc(const WeightedCsrGraph& g,
                                       const ApgreOptions& opts = {},
-                                      ApgreStats* stats = nullptr);
+                                      ApgreStats* stats = nullptr,
+                                      int threads = 0);
 
 }  // namespace apgre

@@ -69,7 +69,9 @@ void canonicalize_blocks(BiconnectedComponents& bcc);
 /// applied to the serial biconnected_components(g): same blocks (vertex
 /// and edge sets), same articulation flags, same any_component. Directed
 /// inputs take the serial path on the projection (canonicalized), counted
-/// by bcc.parallel.fallbacks.
-BiconnectedComponents parallel_biconnected_components(const CsrGraph& g);
+/// by bcc.parallel.fallbacks. `threads` is the pass's width
+/// (BcOptions::threads semantics; 0 = the shared pool).
+BiconnectedComponents parallel_biconnected_components(const CsrGraph& g,
+                                                      int threads = 0);
 
 }  // namespace apgre

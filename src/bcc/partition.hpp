@@ -117,8 +117,11 @@ struct Decomposition {
 
 /// Decompose `g` and (unless opts.reach == kAuto semantics dictate
 /// otherwise) fill in alpha/beta. Runs per connected component of the
-/// undirected projection; vertices with no arcs are skipped.
-Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts = {});
+/// undirected projection; vertices with no arcs are skipped. `threads` is
+/// the width of the parallel passes — biconnectivity and reach
+/// (BcOptions::threads semantics; 0 = the shared pool).
+Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts = {},
+                        int threads = 0);
 
 /// Fold per-vertex phantom-pendant multiplicities into an existing
 /// decomposition (the 2-core peel's anchor weights: each anchor stands in

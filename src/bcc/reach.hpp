@@ -9,7 +9,7 @@
 // Two strategies:
 //   * kBfs: restricted forward/reverse BFS per articulation point, exactly
 //     as the paper describes. Works for directed and undirected graphs;
-//     parallelised across sub-graphs.
+//     parallelised across sub-graphs on the work-stealing scheduler.
 //   * kTreeDp: for undirected graphs alpha == beta and both equal a
 //     subtree-size expression on the group-level block-cut tree, computable
 //     in O(|V|+|E|) total. Used as the default undirected fast path and
@@ -29,8 +29,12 @@ namespace apgre {
 /// peel anchors). Reach counts then include the peeled tree vertices each
 /// anchor stands in for, except in the one sub-graph that homed them
 /// (Subgraph::pendant_weight non-zero there), where they count as inside.
+///
+/// `threads` is the kBfs pass's width (BcOptions::threads semantics; 0 =
+/// the shared pool, see WorkStealingScheduler::pool_for).
 void compute_reach_counts(const CsrGraph& g, Decomposition& dec,
                           ReachMethod method,
-                          const std::vector<Vertex>* multiplicity = nullptr);
+                          const std::vector<Vertex>* multiplicity = nullptr,
+                          int threads = 0);
 
 }  // namespace apgre

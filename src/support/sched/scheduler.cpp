@@ -1,5 +1,10 @@
 #include "support/sched/scheduler.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -10,7 +15,6 @@
 
 #include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/sched/chase_lev.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
@@ -95,6 +99,9 @@ using sched_detail::tls;
 struct WorkStealingScheduler::State {
   struct alignas(64) Slot {
     ChaseLevDeque<TaskNode*> deque;
+    /// Participant slots only: held by a caller thread. See
+    /// acquire_participant_slot().
+    std::atomic<bool> claimed{false};
   };
 
   explicit State(int num_slots) {
@@ -122,12 +129,13 @@ struct WorkStealingScheduler::State {
   std::atomic<bool> pool_started{false};
   std::vector<std::thread> pool;
 
-  /// Participant-slot freelist (slot ids >= pool size). Handing a slot to
-  /// a new thread through this mutex also hands over its deque: the lock
-  /// provides the happens-before edge successive owners need.
-  std::mutex free_mu;
-  std::condition_variable free_cv;
-  std::vector<int> free_slots;
+  /// Callers blocked because every participant slot was taken. seq_cst
+  /// pairs with the releaser's store to Slot::claimed (Dekker, as for
+  /// `sleepers`): a releaser either sees the waiter and notifies, or the
+  /// waiter's re-scan sees the freed slot.
+  std::atomic<int> slot_waiters{0};
+  std::mutex slot_mu;
+  std::condition_variable slot_cv;
 
   std::atomic<int> concurrent_runs{0};
   std::atomic<int> concurrent_runs_high{0};
@@ -140,10 +148,59 @@ struct WorkStealingScheduler::State {
   Counter* failed_steals = nullptr;
 };
 
-WorkStealingScheduler::WorkStealingScheduler(const SchedulerOptions& opts)
-    : opts_(opts) {
-  workers_ = opts.threads > 0 ? opts.threads : num_threads();
-  if (workers_ < 1) workers_ = 1;
+namespace {
+
+/// How long an idle pool worker keeps polling for work before it sleeps.
+constexpr double kIdleSpinSeconds = 1e-3;
+
+int machine_width() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// The CPUs this process may run on, the calling thread's own CPU first,
+/// the rest in id order after it (wrapping). Empty where unsupported.
+std::vector<int> cpus_from_caller() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  const auto here = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+  if (here != cpus.end()) std::rotate(cpus.begin(), here, cpus.end());
+#endif
+  return cpus;
+}
+
+/// Move the calling thread to `cpu`, then allow every CPU again. A new
+/// thread starts on its creator's CPU, and a kernel can take hundreds of
+/// milliseconds to balance it away (seen on a 4-vCPU VM): until then a
+/// sub-millisecond parallel_for runs every chunk on the caller while the
+/// workers queue behind it on one CPU. One hop spreads the pool at start
+/// without pinning it, so the kernel stays free to migrate it later.
+void hop_to_cpu(int cpu) {
+#ifdef __linux__
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
+    pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
+  }
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
+
+WorkStealingScheduler::WorkStealingScheduler(int threads, StealPolicy policy)
+    : policy_(policy) {
+  workers_ = std::min(threads > 0 ? threads : machine_width(), kMaxWorkers);
   // Participant slots beyond the pool: enough for the service's worker
   // pool plus benchmark client threads to all be inside a solve at once;
   // late-comers beyond that wait in acquire_participant_slot().
@@ -153,9 +210,6 @@ WorkStealingScheduler::WorkStealingScheduler(const SchedulerOptions& opts)
   state_->task_micros = &m.histogram("sched.task_micros");
   state_->nested_depth = &m.histogram("sched.nested_depth");
   state_->failed_steals = &m.counter("sched.failed_steals");
-  for (int s = workers_ - 1; s < num_slots_; ++s) {
-    state_->free_slots.push_back(s);
-  }
 }
 
 WorkStealingScheduler::~WorkStealingScheduler() {
@@ -178,13 +232,37 @@ WorkStealingScheduler::~WorkStealingScheduler() {
 }
 
 WorkStealingScheduler& WorkStealingScheduler::shared() {
-  static WorkStealingScheduler instance([] {
-    SchedulerOptions opts;
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    opts.threads = std::max({1, hw, num_threads()});
-    return opts;
-  }());
+  static WorkStealingScheduler instance;
   return instance;
+}
+
+std::shared_ptr<WorkStealingScheduler> WorkStealingScheduler::pool_for(
+    int threads, StealPolicy policy) {
+  WorkStealingScheduler& machine = shared();
+  const int width =
+      std::min(threads > 0 ? threads : machine.num_workers(), kMaxWorkers);
+  if (width == machine.num_workers() && policy == StealPolicy::kRandom) {
+    return {std::shared_ptr<void>(), &machine};  // non-owning
+  }
+  // Most recently requested last. Constructed after shared() above, so
+  // destroyed before it at exit.
+  static std::mutex mu;
+  static std::vector<std::shared_ptr<WorkStealingScheduler>> pools;
+  std::shared_ptr<WorkStealingScheduler> evicted;  // dropped after unlock
+  std::lock_guard<std::mutex> lk(mu);
+  auto it = std::find_if(pools.begin(), pools.end(), [&](const auto& pool) {
+    return pool->num_workers() == width && pool->policy_ == policy;
+  });
+  if (it == pools.end()) {
+    pools.push_back(std::make_shared<WorkStealingScheduler>(width, policy));
+    if (pools.size() > kMaxCachedPools) {
+      evicted = std::move(pools.front());
+      pools.erase(pools.begin());
+    }
+  } else {
+    std::rotate(it, it + 1, pools.end());
+  }
+  return pools.back();
 }
 
 void WorkStealingScheduler::ensure_pool() {
@@ -193,28 +271,63 @@ void WorkStealingScheduler::ensure_pool() {
   std::lock_guard<std::mutex> lk(st.pool_mu);
   if (st.pool_started.load(std::memory_order_relaxed)) return;
   st.pool.reserve(static_cast<std::size_t>(workers_ - 1));
+  // Worker w starts on the (w + 1)-th allowed CPU after the caller's.
+  const std::vector<int> cpus = cpus_from_caller();
   for (int w = 0; w < workers_ - 1; ++w) {
-    st.pool.emplace_back([this, w] { pool_loop(w); });
+    const int cpu =
+        cpus.size() > 1
+            ? cpus[static_cast<std::size_t>(w + 1) % cpus.size()]
+            : -1;
+    st.pool.emplace_back([this, w, cpu] {
+      if (cpu >= 0) hop_to_cpu(cpu);
+      pool_loop(w);
+    });
   }
   st.pool_started.store(true, std::memory_order_release);
 }
 
+// Participant slots (ids >= pool size) are claimed by CAS on
+// Slot::claimed, so a caller thread borrows one per parallel_for without a
+// lock — many concurrent solves call this once per BFS level. The claim's
+// acquire / the release's store hand the slot's deque from one owner to
+// the next. Each thread starts its scan at its own round-robin offset, so
+// concurrent callers usually claim different slots on the first try.
 int WorkStealingScheduler::acquire_participant_slot() {
   State& st = *state_;
-  std::unique_lock<std::mutex> lk(st.free_mu);
-  st.free_cv.wait(lk, [&] { return !st.free_slots.empty(); });
-  const int slot = st.free_slots.back();
-  st.free_slots.pop_back();
+  const int first = workers_ - 1;
+  const int count = num_slots_ - first;
+  static std::atomic<unsigned> next_offset{0};
+  thread_local const unsigned offset =
+      next_offset.fetch_add(1, std::memory_order_relaxed);
+  const int start = static_cast<int>(offset % static_cast<unsigned>(count));
+  const auto try_claim = [&]() -> int {
+    for (int i = 0; i < count; ++i) {
+      const int slot = first + (start + i) % count;
+      std::atomic<bool>& claimed =
+          st.slots[static_cast<std::size_t>(slot)]->claimed;
+      bool expected = false;
+      if (!claimed.load() && claimed.compare_exchange_strong(expected, true)) {
+        return slot;
+      }
+    }
+    return -1;
+  };
+  int slot = try_claim();
+  if (slot >= 0) return slot;
+  std::unique_lock<std::mutex> lk(st.slot_mu);
+  st.slot_waiters.fetch_add(1);
+  while ((slot = try_claim()) < 0) st.slot_cv.wait(lk);
+  st.slot_waiters.fetch_sub(1);
   return slot;
 }
 
 void WorkStealingScheduler::release_participant_slot(int slot) {
   State& st = *state_;
-  {
-    std::lock_guard<std::mutex> lk(st.free_mu);
-    st.free_slots.push_back(slot);
+  st.slots[static_cast<std::size_t>(slot)]->claimed.store(false);
+  if (st.slot_waiters.load() != 0) {
+    std::lock_guard<std::mutex> lk(st.slot_mu);
+    st.slot_cv.notify_all();
   }
-  st.free_cv.notify_one();
 }
 
 void WorkStealingScheduler::publish(int slot, TaskNode* node) {
@@ -240,7 +353,7 @@ bool WorkStealingScheduler::try_steal(int thief_slot, std::uint64_t& rng,
   const int n = num_slots_;
   for (int attempt = 0; attempt < n; ++attempt) {
     int victim;
-    if (opts_.steal_policy == StealPolicy::kRandom) {
+    if (policy_ == StealPolicy::kRandom) {
       victim = static_cast<int>(sched_detail::xorshift(rng) %
                                 static_cast<std::uint64_t>(n));
     } else {
@@ -287,14 +400,14 @@ void WorkStealingScheduler::pool_loop(int slot_id) {
   State::Slot& me = *st.slots[static_cast<std::size_t>(slot_id)];
   std::uint64_t rng = sched_detail::rng_seed(slot_id);
   std::uint64_t failed_tally = 0;
-  int empty_sweeps = 0;
+  Timer idle_timer;  // since the last task or wake-up
 
   while (!st.stop.load(std::memory_order_acquire)) {
     TaskNode* node = nullptr;
     if (me.deque.pop(node)) {
       st.outstanding.fetch_sub(1, std::memory_order_seq_cst);
       execute(node, slot_id);
-      empty_sweeps = 0;
+      idle_timer.reset();
       continue;
     }
     std::uint64_t failed = 0;
@@ -303,11 +416,15 @@ void WorkStealingScheduler::pool_loop(int slot_id) {
       st.outstanding.fetch_sub(1, std::memory_order_seq_cst);
       node->group->stolen.fetch_add(1, std::memory_order_relaxed);
       execute(node, slot_id);
-      empty_sweeps = 0;
+      idle_timer.reset();
       continue;
     }
     failed_tally += failed;
-    if (++empty_sweeps < 64) {
+    // Stay awake (yielding) for a while before sleeping: solves issue
+    // parallel_for calls back to back, and a sleeping worker misses
+    // sub-millisecond loops entirely (the caller finishes before the
+    // wake-up lands).
+    if (idle_timer.seconds() < kIdleSpinSeconds) {
       std::this_thread::yield();
       continue;
     }
@@ -332,7 +449,7 @@ void WorkStealingScheduler::pool_loop(int slot_id) {
       });
     }
     st.sleepers.fetch_sub(1, std::memory_order_seq_cst);
-    empty_sweeps = 0;
+    idle_timer.reset();
   }
   if (failed_tally != 0) st.failed_steals->add(failed_tally);
 }
@@ -530,7 +647,6 @@ void WorkStealingScheduler::parallel_for(std::int64_t begin, std::int64_t end,
     grain = std::max<std::int64_t>(1, n / (8 * static_cast<std::int64_t>(workers_)));
   }
   const int depth = tls.sched == this ? tls.loop_depth : 0;
-  state_->nested_depth->observe(static_cast<std::uint64_t>(depth));
 
   // Small ranges (and 1-worker schedulers) run inline on the current slot;
   // an external caller of a multi-worker scheduler still borrows a
@@ -552,6 +668,7 @@ void WorkStealingScheduler::parallel_for(std::int64_t begin, std::int64_t end,
   }
 
   TraceSpan span("sched/parallel_for");
+  state_->nested_depth->observe(static_cast<std::uint64_t>(depth));
   ensure_pool();
   State& st = *state_;
   const bool guest = !(tls.sched == this && tls.slot >= 0);

@@ -1,30 +1,34 @@
-// Reentrant two-level work-stealing task scheduler.
+// Reentrant two-level work-stealing task scheduler: the library's one
+// parallel runtime.
 //
-// The paper's headline speedup needs *two-level* parallelism: coarse tasks
-// per (sub-graph, root-batch) pair plus fine parallelism inside the largest
-// sub-graphs. A flat `#pragma omp for` over sub-graphs serializes on skewed
-// decompositions (one giant biconnected component plus thousands of tiny
-// ones — the norm, per the paper's Figure 2). This scheduler fixes the skew:
-// every worker owns a Chase-Lev deque (sched/chase_lev.hpp); an idle worker
-// steals the oldest task from a victim chosen by `steal_policy`. Tasks may
-// spawn subtasks onto their own deque, which thieves then relieve.
+// The paper runs both levels of its parallelism on CilkPlus (cilk_for plus
+// reducers); this scheduler is the stand-in. The headline speedup needs
+// *two-level* parallelism: coarse tasks per (sub-graph, root-batch) pair
+// plus fine parallelism inside the largest sub-graphs. A flat loop over
+// sub-graphs serializes on skewed decompositions (one giant biconnected
+// component plus thousands of tiny ones — the norm, per the paper's
+// Figure 2). This scheduler fixes the skew: every worker owns a Chase-Lev
+// deque (sched/chase_lev.hpp); an idle worker steals the oldest task from a
+// victim chosen by the steal policy. Tasks may spawn subtasks onto their
+// own deque, which thieves then relieve. Every parallel kernel — APGRE, the
+// level-synchronous baselines, `coarse`, weighted APGRE, the reach BFS and
+// the parallel decomposition — runs on it.
 //
 // Reentrancy. run() and parallel_for() are join-counted: each call owns a
 // private completion group, so any number of caller threads can drive the
 // same scheduler concurrently — the substrate the concurrent BC service
-// needs (service/service.hpp used to serialize every parallel solve behind
-// a process-wide mutex; DESIGN.md "Reentrant scheduler" records the
-// design tradeoff). Calls from inside a task nest: a task body may open a
-// parallel_for (the level-synchronous BC kernels do, once per BFS level)
-// or even a whole run(). Pool threads are started lazily on first use and
-// sleep on a condition variable when the system drains.
+// needs (DESIGN.md "Reentrant scheduler" records the design tradeoff).
+// Calls from inside a task nest: a task body may open a parallel_for (the
+// level-synchronous BC kernels do, once per BFS level) or even a whole
+// run(). Pool threads are started lazily on first use and sleep on a
+// condition variable when the system drains.
 //
-// Worker ids vs slots. num_workers() is the parallelism degree (`threads`,
-// or the OpenMP budget when 0). Task bodies receive a *slot* id in
-// [0, num_slots()); slots extend the pool with entries for external caller
-// threads that participate while their group runs, so num_slots() — not
-// num_workers() — is the dimension for per-slot buffers. At most one
-// thread occupies a slot at a time, so slot-indexed state needs no locks.
+// Worker ids vs slots. num_workers() is the parallelism degree. Task bodies
+// receive a *slot* id in [0, num_slots()); slots extend the pool with
+// entries for external caller threads that participate while their group
+// runs, so num_slots() — not num_workers() — is the dimension for per-slot
+// buffers. At most one thread occupies a slot at a time, so slot-indexed
+// state needs no locks.
 //
 // With num_workers() == 1 every call executes inline on the calling
 // thread in deterministic order: no pool, no steals, bitwise-reproducible
@@ -35,10 +39,13 @@
 // histogram `sched.task_micros`, nesting histogram `sched.nested_depth`,
 // gauges `sched.idle_seconds` / `sched.run_seconds` / `sched.workers` /
 // `sched.concurrent_runs`) and opens a `sched/run` trace span;
-// parallel_for opens `sched/parallel_for` when it actually goes parallel.
+// parallel_for opens `sched/parallel_for` and observes its nesting depth
+// only when it actually goes parallel (an inline call touches nothing
+// shared beyond the caller's own slot).
 // docs/OBSERVABILITY.md documents the names.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -63,16 +70,13 @@ enum class StealPolicy {
 StealPolicy steal_policy_from_name(const std::string& name);
 std::string steal_policy_name(StealPolicy policy);
 
+/// Per-solve scheduling knobs of APGRE's scoring phase (BcOptions::scheduler).
+/// The solve's width is BcOptions::threads, not a field here.
 struct SchedulerOptions {
-  /// Route APGRE's per-sub-graph work through the scheduler (the flat
-  /// OpenMP loop remains available with enabled = false).
-  bool enabled = true;
-  /// Worker count; 0 uses the OpenMP thread budget (support/parallel.hpp),
-  /// so BcOptions::threads caps the scheduler too.
-  int threads = 0;
   /// Roots per fine-grained (sub-graph, root-batch) task when a large
   /// sub-graph is split; 0 picks roots / (4 * workers), at least 1.
   int grain = 0;
+  /// Victim selection of the pool the solve runs on (see pool_for()).
   StealPolicy steal_policy = StealPolicy::kRandom;
   /// Choose the per-sub-graph kernel adaptively (bc/apgre.cpp): large
   /// sub-graphs with too few roots to split become dedicated tasks running
@@ -104,7 +108,14 @@ class WorkStealingScheduler {
   using LoopBody = std::function<void(std::int64_t begin, std::int64_t end,
                                       int slot)>;
 
-  explicit WorkStealingScheduler(const SchedulerOptions& opts = {});
+  /// Upper bound on a pool's width; wider requests are clamped to it, and
+  /// validate_options rejects BcOptions::threads above it.
+  static constexpr int kMaxWorkers = 1024;
+
+  /// `threads` workers (at most kMaxWorkers); 0 means the machine's width,
+  /// max(1, std::thread::hardware_concurrency()).
+  explicit WorkStealingScheduler(int threads = 0,
+                                 StealPolicy policy = StealPolicy::kRandom);
   ~WorkStealingScheduler();
   WorkStealingScheduler(const WorkStealingScheduler&) = delete;
   WorkStealingScheduler& operator=(const WorkStealingScheduler&) = delete;
@@ -114,7 +125,6 @@ class WorkStealingScheduler {
   /// pool workers plus external participant slots. Size per-slot buffers
   /// with this, never with num_workers().
   int num_slots() const { return num_slots_; }
-  const SchedulerOptions& options() const { return opts_; }
 
   /// Execute every task (and everything they spawn) to completion and
   /// return the group's stats. The calling thread participates. Reentrant:
@@ -138,11 +148,23 @@ class WorkStealingScheduler {
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const LoopBody& body);
 
-  /// Process-wide scheduler sized to the machine, shared by every caller
-  /// with default pool options (threads == 0, random stealing); reentrancy
-  /// makes the sharing safe, and a shared pool keeps N concurrent solves
-  /// from oversubscribing the cores with N private pools.
+  /// Process-wide scheduler sized to the machine (random stealing): the
+  /// pool every default solve shares. Reentrancy makes the sharing safe,
+  /// and one shared pool keeps N concurrent solves from oversubscribing
+  /// the cores with N private pools.
   static WorkStealingScheduler& shared();
+
+  /// The pool a solve with thread budget `threads` (BcOptions::threads)
+  /// runs on; hold the returned handle for the whole solve. 0, or the
+  /// shared pool's own width, with random stealing is shared(); any other
+  /// request gets a pool of exactly that width (clamped to kMaxWorkers)
+  /// and policy. The kMaxCachedPools most recently requested of those stay
+  /// alive and are reused (no per-solve thread start-up); an evicted pool
+  /// is destroyed once its last handle is dropped, so a stream of distinct
+  /// widths cannot pile up idle threads.
+  static std::shared_ptr<WorkStealingScheduler> pool_for(
+      int threads, StealPolicy policy = StealPolicy::kRandom);
+  static constexpr std::size_t kMaxCachedPools = 4;
 
  private:
   struct State;
@@ -158,7 +180,7 @@ class WorkStealingScheduler {
   void release_participant_slot(int slot);
   SchedulerStats run_inline(std::vector<Task> tasks);
 
-  SchedulerOptions opts_;
+  StealPolicy policy_ = StealPolicy::kRandom;
   int workers_ = 1;
   int num_slots_ = 1;
   std::unique_ptr<State> state_;

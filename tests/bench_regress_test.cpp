@@ -90,6 +90,7 @@ TEST_F(BenchRegressTest, ReportMatchesSchema) {
   EXPECT_EQ(report.at("schema_version").as_double(), 1.0);
   EXPECT_EQ(report.at("revision").as_string(), "testrev");
   EXPECT_TRUE(report.at("host").is_object());
+  EXPECT_GE(report.at("host").at("pool_workers").as_double(), 1.0);
   EXPECT_EQ(report.at("config").at("repeat").as_double(), 1.0);
 
   const auto& results = report.at("results").as_array();

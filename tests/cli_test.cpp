@@ -158,14 +158,10 @@ TEST_F(CliTest, BadStealPolicyFails) {
 }
 
 TEST_F(CliTest, SchedulerFlagsRoundTrip) {
-  const CommandResult on = run_cli(
-      "--grain 2 --steal-policy sequential --top 1 " + snap_path_);
-  EXPECT_EQ(on.exit_code, 0);
-  EXPECT_NE(on.output.find("scheduler:"), std::string::npos);
-
-  const CommandResult off = run_cli("--scheduler=false --top 1 " + snap_path_);
-  EXPECT_EQ(off.exit_code, 0);
-  EXPECT_EQ(off.output.find("scheduler:"), std::string::npos);
+  const CommandResult r = run_cli(
+      "--grain 2 --steal-policy sequential --threads 1 --top 1 " + snap_path_);
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.output.find("scheduler: 1 workers"), std::string::npos);
 }
 
 TEST_F(CliTest, SamplingMode) {

@@ -1,21 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <thread>
+
+#include "bc/apgre.hpp"
 #include "bc/brandes.hpp"
 #include "bc/coarse.hpp"
 #include "bc/hybrid.hpp"
 #include "bc/lockfree.hpp"
 #include "bc/parallel_preds.hpp"
 #include "bc/parallel_succs.hpp"
+#include "bc/weighted.hpp"
 #include "graph/generators.hpp"
-#include "support/parallel.hpp"
+#include "graph/weighted.hpp"
 #include "test_util.hpp"
 
 namespace apgre {
 namespace {
 
-using BcFn = std::vector<double> (*)(const CsrGraph&);
+using BcFn = std::vector<double> (*)(const CsrGraph&, int threads);
 
-std::vector<double> hybrid_default(const CsrGraph& g) { return hybrid_bc(g); }
+std::vector<double> hybrid_default(const CsrGraph& g, int threads) {
+  return hybrid_bc(g, {}, threads);
+}
 
 struct NamedAlgorithm {
   const char* name;
@@ -35,7 +43,7 @@ TEST(ParallelBc, AllAgreeOnShapes) {
     const auto expected = brandes_bc(g);
     for (const auto& alg : kAlgorithms) {
       SCOPED_TRACE(alg.name);
-      testing::expect_scores_near(expected, alg.fn(g));
+      testing::expect_scores_near(expected, alg.fn(g, 0));
     }
   }
 }
@@ -46,14 +54,14 @@ TEST(ParallelBc, AllHandleDisconnectedGraphs) {
   const auto expected = brandes_bc(g);
   for (const auto& alg : kAlgorithms) {
     SCOPED_TRACE(alg.name);
-    testing::expect_scores_near(expected, alg.fn(g));
+    testing::expect_scores_near(expected, alg.fn(g, 0));
   }
 }
 
 TEST(ParallelBc, AllHandleEmptyGraph) {
   const CsrGraph g = CsrGraph::from_edges(0, {}, false);
   for (const auto& alg : kAlgorithms) {
-    EXPECT_TRUE(alg.fn(g).empty()) << alg.name;
+    EXPECT_TRUE(alg.fn(g, 0).empty()) << alg.name;
   }
 }
 
@@ -62,7 +70,7 @@ TEST(ParallelBc, DirectedPaperFigure3) {
   const auto expected = brandes_bc(g);
   for (const auto& alg : kAlgorithms) {
     SCOPED_TRACE(alg.name);
-    testing::expect_scores_near(expected, alg.fn(g));
+    testing::expect_scores_near(expected, alg.fn(g, 0));
   }
 }
 
@@ -85,13 +93,38 @@ TEST(HybridBc, ForcedTopDownStillCorrect) {
 TEST(ParallelBc, MultithreadedRunsMatchSerial) {
   // Even on a single hardware core, oversubscribed threads must not change
   // results (races would).
-  ThreadBudget budget(4);
   const CsrGraph g = testing::graph_family(9, /*tiny=*/false)[4].graph;  // BA
   const auto expected = brandes_bc(g);
   for (const auto& alg : kAlgorithms) {
     SCOPED_TRACE(alg.name);
-    testing::expect_scores_near(expected, alg.fn(g));
+    testing::expect_scores_near(expected, alg.fn(g, 4));
   }
+}
+
+// Pools four times the machine's width: every scheduler-native parallel
+// kernel — the five baselines, weighted APGRE and directed APGRE (whose
+// reach counts take the BFS pass) — stays exact and finishes promptly
+// with more workers than cores.
+TEST(ParallelBc, FourfoldOversubscribedPoolsStayExact) {
+  const int threads =
+      4 * std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  CsrGraph g;
+  for (testing::GraphCase& c : testing::graph_family(19, /*tiny=*/false)) {
+    if (c.name == "satellites_directed") g = std::move(c.graph);
+  }
+  ASSERT_TRUE(g.directed());
+  const auto expected = brandes_bc(g);
+  for (const auto& alg : kAlgorithms) {
+    SCOPED_TRACE(alg.name);
+    testing::expect_scores_near(expected, alg.fn(g, threads));
+  }
+  ApgreOptions bfs_reach;
+  bfs_reach.partition.reach = ReachMethod::kBfs;
+  testing::expect_scores_near(expected,
+                              apgre_bc(g, bfs_reach, nullptr, {}, threads));
+  const WeightedCsrGraph wg = with_random_weights(g, 1, 5, 19);
+  testing::expect_scores_near(weighted_brandes_bc(wg),
+                              weighted_apgre_bc(wg, {}, nullptr, threads));
 }
 
 class ParallelSweep
@@ -99,13 +132,12 @@ class ParallelSweep
 
 TEST_P(ParallelSweep, AgreesWithBrandesOnRandomGraphs) {
   const auto [seed, threads] = GetParam();
-  ThreadBudget budget(threads);
   for (const auto& gc : testing::graph_family(seed, /*tiny=*/true)) {
     SCOPED_TRACE(gc.name);
     const auto expected = brandes_bc(gc.graph);
     for (const auto& alg : kAlgorithms) {
       SCOPED_TRACE(alg.name);
-      testing::expect_scores_near(expected, alg.fn(gc.graph));
+      testing::expect_scores_near(expected, alg.fn(gc.graph, threads));
     }
   }
 }

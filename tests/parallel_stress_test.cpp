@@ -1,23 +1,28 @@
 // Multi-threaded stress tier for the five parallel BC backends (preds,
-// succs, lockfree, coarse, hybrid): repeated runs on adversarial shapes —
-// a star (one giant level), a long path (many one-vertex levels), a dense
-// biconnected component and a barbell — differentially checked against
-// serial Brandes, at thread counts {1, 2, hardware}. The host runs ctest
-// on few cores, so the thread counts oversubscribe deliberately: context
+// succs, lockfree, coarse, hybrid) and APGRE: repeated runs on adversarial
+// shapes — a star (one giant level), a long path (many one-vertex levels),
+// a dense biconnected component and a barbell — differentially checked
+// against serial Brandes, at thread counts {1, 2, max(4, hardware)}, plus
+// concurrent callers driving every kernel at once. The host runs ctest on
+// few cores, so the thread counts oversubscribe deliberately: context
 // switches mid-kernel widen race windows, which is exactly what this tier
 // (and the ThreadSanitizer CI job that runs it) is for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bc/bc.hpp"
+#include "bc/weighted.hpp"
 #include "check/corpus.hpp"
 #include "check/oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
-#include "support/parallel.hpp"
+#include "graph/weighted.hpp"
 
 namespace apgre {
 namespace {
@@ -31,8 +36,13 @@ const std::vector<Algorithm>& parallel_backends() {
   return backends;
 }
 
+/// At least 4 workers even on small hosts, more on wide ones.
+int wide_threads() {
+  return std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 std::vector<int> thread_counts() {
-  std::vector<int> counts = {1, 2, std::max(4, num_threads())};
+  std::vector<int> counts = {1, 2, wide_threads()};
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
   return counts;
 }
@@ -91,7 +101,7 @@ TEST(ParallelStressTest, BackendsMatchSerialOnAdversarialGraphs) {
 // The sweep the TSan CI job leans on: every parallel backend over the tiny
 // check corpus with forced concurrency (4+ threads even on small hosts).
 TEST(ParallelStressTest, BackendsMatchSerialOnCheckCorpus) {
-  const int threads = std::max(4, num_threads());
+  const int threads = wide_threads();
   for (const CorpusCase& c : graph_corpus(/*seed=*/5, /*tiny=*/true)) {
     BcOptions serial;
     serial.algorithm = Algorithm::kBrandesSerial;
@@ -102,8 +112,8 @@ TEST(ParallelStressTest, BackendsMatchSerialOnCheckCorpus) {
   }
 }
 
-// APGRE's two-level parallelism (coarse outer loop + fine-grained inner
-// kernel) rides along: it exercises the fenced regions in apgre.cpp.
+// APGRE's two-level parallelism (scheduler tasks + nested fine-grained
+// parallel_for levels) rides along.
 TEST(ParallelStressTest, ApgreMatchesSerialUnderForcedConcurrency) {
   for (const AdversarialGraph& ag : adversarial_graphs()) {
     BcOptions serial;
@@ -138,8 +148,6 @@ TEST(ParallelStressTest, SchedulerMatchesSerialOnSkewedDecomposition) {
         BcOptions opts;
         opts.algorithm = Algorithm::kApgre;
         opts.threads = threads;
-        opts.scheduler.enabled = true;
-        opts.scheduler.threads = threads;
         opts.scheduler.grain = grain;
         opts.scheduler.steal_policy = policy;
         // Force everything through the task path so the deques see the
@@ -160,6 +168,75 @@ TEST(ParallelStressTest, SchedulerMatchesSerialOnSkewedDecomposition) {
       }
     }
   }
+}
+
+// Every parallel kernel at once: N caller threads each run preds, succs,
+// lockfree, hybrid, coarse, weighted APGRE and directed APGRE (its reach
+// counts take the BFS pass) on one pinned 4-worker pool, starting at
+// different kernels so every pair overlaps, each result checked against
+// its serial oracle. The kernels share the pool's deques and slots but no
+// other state.
+TEST(ParallelStressTest, ConcurrentCallersRunEveryKernelAtOnce) {
+  constexpr int kCallers = 4;
+  constexpr int kThreads = 4;
+  CsrGraph g;
+  for (CorpusCase& c : graph_corpus(/*seed=*/7, /*tiny=*/false)) {
+    if (c.name == "satellites_directed") g = std::move(c.graph);
+  }
+  ASSERT_TRUE(g.directed());
+  const WeightedCsrGraph wg = with_random_weights(g, 1, 5, 7);
+
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  const std::vector<double> expected = betweenness(g, serial).scores;
+  const std::vector<double> weighted_expected = weighted_brandes_bc(wg);
+
+  struct Kernel {
+    std::string name;
+    std::function<std::vector<double>()> run;
+    const std::vector<double>* expected;
+  };
+  std::vector<Kernel> kernels;
+  for (Algorithm a : {Algorithm::kParallelPreds, Algorithm::kParallelSuccs,
+                      Algorithm::kLockFree, Algorithm::kHybrid,
+                      Algorithm::kCoarse, Algorithm::kApgre}) {
+    kernels.push_back({algorithm_name(a),
+                       [&g, a] {
+                         BcOptions opts;
+                         opts.algorithm = a;
+                         opts.threads = kThreads;
+                         return betweenness(g, opts).scores;
+                       },
+                       &expected});
+  }
+  kernels.push_back({"weighted_apgre",
+                     [&wg] { return weighted_apgre_bc(wg, {}, nullptr, kThreads); },
+                     &weighted_expected});
+
+  std::mutex mu;
+  std::vector<std::string> failures;
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int rep = 0; rep < kRepetitions; ++rep) {
+        for (std::size_t k = 0; k < kernels.size(); ++k) {
+          const Kernel& kernel =
+              kernels[(k + static_cast<std::size_t>(c)) % kernels.size()];
+          const ScoreComparison cmp =
+              compare_scores(*kernel.expected, kernel.run());
+          if (!cmp.ok) {
+            std::lock_guard<std::mutex> lk(mu);
+            failures.push_back(kernel.name + " caller " + std::to_string(c) +
+                               " rep " + std::to_string(rep) + ": worst vertex " +
+                               std::to_string(cmp.worst_vertex));
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_TRUE(failures.empty()) << failures.size() << " divergent runs, first: "
+                                << (failures.empty() ? "" : failures.front());
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 // task took.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -132,9 +135,7 @@ TEST(StealPolicy, NamesRoundTrip) {
 
 TEST(WorkStealingScheduler, RunsEveryTaskExactlyOnce) {
   for (int workers : {1, 2, 4}) {
-    SchedulerOptions opts;
-    opts.threads = workers;
-    WorkStealingScheduler sched(opts);
+    WorkStealingScheduler sched(workers);
     ASSERT_EQ(sched.num_workers(), workers);
 
     constexpr int kTasks = 64;
@@ -155,9 +156,7 @@ TEST(WorkStealingScheduler, RunsEveryTaskExactlyOnce) {
 }
 
 TEST(WorkStealingScheduler, SpawnedSubtasksComplete) {
-  SchedulerOptions opts;
-  opts.threads = 2;
-  WorkStealingScheduler sched(opts);
+  WorkStealingScheduler sched(2);
   std::atomic<int> executed{0};
   std::vector<WorkStealingScheduler::Task> tasks;
   for (int i = 0; i < 4; ++i) {
@@ -177,10 +176,7 @@ TEST(WorkStealingScheduler, SpawnedSubtasksComplete) {
 
 TEST(WorkStealingScheduler, BothStealPoliciesDrainSkewedLoad) {
   for (StealPolicy policy : {StealPolicy::kRandom, StealPolicy::kSequential}) {
-    SchedulerOptions opts;
-    opts.threads = 4;
-    opts.steal_policy = policy;
-    WorkStealingScheduler sched(opts);
+    WorkStealingScheduler sched(4, policy);
     std::atomic<long long> sum{0};
     std::vector<WorkStealingScheduler::Task> tasks;
     // Skew: one heavy task plus many light ones, so idle workers must steal.
@@ -199,9 +195,7 @@ TEST(WorkStealingScheduler, BothStealPoliciesDrainSkewedLoad) {
 }
 
 TEST(WorkStealingScheduler, FirstTaskExceptionIsRethrownAfterDraining) {
-  SchedulerOptions opts;
-  opts.threads = 2;
-  WorkStealingScheduler sched(opts);
+  WorkStealingScheduler sched(2);
   std::atomic<int> executed{0};
   std::vector<WorkStealingScheduler::Task> tasks;
   for (int i = 0; i < 16; ++i) {
@@ -215,17 +209,65 @@ TEST(WorkStealingScheduler, FirstTaskExceptionIsRethrownAfterDraining) {
   EXPECT_EQ(executed.load(), 16);
 }
 
-TEST(WorkStealingScheduler, DefaultsFollowThreadBudget) {
+TEST(WorkStealingScheduler, DefaultsToMachineWidth) {
   WorkStealingScheduler sched;  // threads = 0
-  EXPECT_GE(sched.num_workers(), 1);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(sched.num_workers(), std::max(1, hw));
   const SchedulerStats stats = sched.run({});
   EXPECT_EQ(stats.tasks, 0u);
 }
 
+// BcOptions::threads semantics: 0 and the shared width map to the shared
+// pool; any other width or the sequential policy gets its own pool of
+// exactly that shape, reused by every later request for the same pair.
+TEST(WorkStealingScheduler, PoolForMapsThreadsToPools) {
+  WorkStealingScheduler& shared = WorkStealingScheduler::shared();
+  EXPECT_EQ(WorkStealingScheduler::pool_for(0).get(), &shared);
+  EXPECT_EQ(WorkStealingScheduler::pool_for(shared.num_workers()).get(),
+            &shared);
+
+  const int other = shared.num_workers() + 1;
+  const auto wider = WorkStealingScheduler::pool_for(other);
+  EXPECT_NE(wider.get(), &shared);
+  EXPECT_EQ(wider->num_workers(), other);
+  EXPECT_EQ(WorkStealingScheduler::pool_for(other), wider);
+
+  EXPECT_EQ(WorkStealingScheduler::pool_for(1)->num_workers(), 1);
+  const auto sequential =
+      WorkStealingScheduler::pool_for(0, StealPolicy::kSequential);
+  EXPECT_NE(sequential.get(), &shared);
+  EXPECT_EQ(sequential->num_workers(), shared.num_workers());
+
+  EXPECT_EQ(WorkStealingScheduler::pool_for(1 << 30)->num_workers(),
+            WorkStealingScheduler::kMaxWorkers);
+}
+
+// A stream of distinct widths keeps at most kMaxCachedPools pools alive:
+// the least recently requested one is dropped from the cache, and freed
+// as soon as no solve holds it.
+TEST(WorkStealingScheduler, PoolForEvictsLeastRecentlyUsedPools) {
+  const int base = WorkStealingScheduler::shared().num_workers() + 2;
+  const std::weak_ptr<WorkStealingScheduler> first =
+      WorkStealingScheduler::pool_for(base);
+  const auto held = WorkStealingScheduler::pool_for(base + 1);
+  for (int i = 0; i < static_cast<int>(WorkStealingScheduler::kMaxCachedPools);
+       ++i) {
+    WorkStealingScheduler::pool_for(base + 2 + i)->parallel_for(
+        0, 64, 1, [](std::int64_t, std::int64_t, int) {});
+  }
+  EXPECT_TRUE(first.expired()) << "an evicted, unheld pool must be freed";
+  // An evicted pool still held by a solve stays usable until released.
+  std::atomic<int> ran{0};
+  held->parallel_for(0, 8, 1, [&](std::int64_t lo, std::int64_t hi, int) {
+    ran.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_NE(WorkStealingScheduler::pool_for(base + 1), held)
+      << "a re-requested evicted width gets a fresh pool";
+}
+
 TEST(WorkStealingScheduler, SlotSpaceCoversExternalParticipants) {
-  SchedulerOptions opts;
-  opts.threads = 3;
-  WorkStealingScheduler sched(opts);
+  WorkStealingScheduler sched(3);
   // Pool workers plus at least a few participant slots for caller threads.
   EXPECT_GE(sched.num_slots(), sched.num_workers());
 }
@@ -235,9 +277,7 @@ TEST(WorkStealingScheduler, SlotSpaceCoversExternalParticipants) {
 // its own join group. Every task of every group executes exactly once and
 // each run() returns its own group's count.
 TEST(WorkStealingScheduler, ConcurrentRunsFromDifferentThreadsAllComplete) {
-  SchedulerOptions opts;
-  opts.threads = 2;
-  WorkStealingScheduler sched(opts);
+  WorkStealingScheduler sched(2);
 
   constexpr int kCallers = 4;
   constexpr int kTasksPerCaller = 48;
@@ -270,9 +310,7 @@ TEST(WorkStealingScheduler, ConcurrentRunsFromDifferentThreadsAllComplete) {
 // parallel_for from several external threads at once, each summing its own
 // disjoint accumulator array: every index processed exactly once per caller.
 TEST(WorkStealingScheduler, ConcurrentParallelForsCoverTheirRanges) {
-  SchedulerOptions opts;
-  opts.threads = 2;
-  WorkStealingScheduler sched(opts);
+  WorkStealingScheduler sched(2);
 
   constexpr int kCallers = 3;
   constexpr std::int64_t kN = 10000;
@@ -301,13 +339,42 @@ TEST(WorkStealingScheduler, ConcurrentParallelForsCoverTheirRanges) {
   }
 }
 
+// More concurrent external callers than participant slots: late-comers
+// block until a slot is released, and every caller's loops still see a
+// slot no other thread holds at the same time.
+TEST(WorkStealingScheduler, CallersBeyondTheParticipantSlotsWaitTheirTurn) {
+  WorkStealingScheduler sched(2);
+  const int participant_slots = sched.num_slots() - (sched.num_workers() - 1);
+  const int callers_count = 3 * participant_slots;
+  std::vector<std::atomic<int>> holders(static_cast<std::size_t>(sched.num_slots()));
+  std::atomic<int> shared_slot{0};
+  std::atomic<long long> processed{0};
+
+  std::vector<std::thread> callers;
+  for (int c = 0; c < callers_count; ++c) {
+    callers.emplace_back([&] {
+      for (int rep = 0; rep < 50; ++rep) {
+        sched.parallel_for(0, 32, 64, [&](std::int64_t lo, std::int64_t hi, int slot) {
+          std::atomic<int>& holder = holders[static_cast<std::size_t>(slot)];
+          if (holder.fetch_add(1) != 0) shared_slot.fetch_add(1);
+          processed.fetch_add(hi - lo);
+          std::this_thread::yield();
+          holder.fetch_sub(1);
+        });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  EXPECT_EQ(shared_slot.load(), 0);
+  EXPECT_EQ(processed.load(), 32LL * 50 * callers_count);
+}
+
 // A task body opens a nested parallel_for (the shape of APGRE's dedicated
 // sub-graph tasks): the loop completes from inside the task, slot ids stay
 // in [0, num_slots()), and every element is visited exactly once.
 TEST(WorkStealingScheduler, NestedParallelForInsideTasksCompletes) {
-  SchedulerOptions opts;
-  opts.threads = 2;
-  WorkStealingScheduler sched(opts);
+  WorkStealingScheduler sched(2);
 
   constexpr int kTasks = 6;
   constexpr std::int64_t kN = 4000;
@@ -347,9 +414,7 @@ TEST(WorkStealingScheduler, NestedParallelForInsideTasksCompletes) {
 // execute in ascending order, which is what makes 1-thread solver runs
 // bitwise deterministic.
 TEST(WorkStealingScheduler, SingleWorkerParallelForIsInlineAndOrdered) {
-  SchedulerOptions opts;
-  opts.threads = 1;
-  WorkStealingScheduler sched(opts);
+  WorkStealingScheduler sched(1);
   std::vector<std::int64_t> visited;
   sched.parallel_for(0, 100, 16,
                      [&visited](std::int64_t lo, std::int64_t hi, int slot) {

@@ -207,6 +207,32 @@ TEST_F(ServeTest, UnknownOpAndUnknownGraphAreErrors) {
       << r.output;
 }
 
+// "threads" picks the solve's pool width, so it is bounded: a width the
+// scheduler would not build (or a JSON number outside int range) is an
+// error reply, and the server keeps answering.
+TEST_F(ServeTest, OversizedThreadsAreErrors) {
+  const CommandResult r = serve({
+      kRegisterPath,
+      R"({"op":"solve","graph":"p","threads":1025})",
+      R"({"op":"top_k","graph":"p","threads":1e12,"k":1})",
+      R"({"op":"solve","graph":"p","threads":-5})",
+      R"({"op":"solve","graph":"p","algorithm":"serial","threads":1})",
+  });
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(
+      r.output,
+      "{\"arcs\":6,\"graph\":\"p\",\"ok\":true,\"op\":\"register\","
+      "\"vertices\":4}\n"
+      "{\"error\":\"threads must be in [0, 1024], got 1025\",\"graph\":\"p\","
+      "\"ok\":false}\n"
+      "{\"error\":\"threads must be in [0, 1024], got 2147483647\","
+      "\"graph\":\"p\",\"ok\":false}\n"
+      "{\"error\":\"threads must be in [0, 1024], got -5\",\"graph\":\"p\","
+      "\"ok\":false}\n"
+      "{\"graph\":\"p\",\"ok\":true,\"op\":\"solve\",\"scores\":[0,4,4,0],"
+      "\"session_hit\":true}\n");
+}
+
 TEST_F(ServeTest, InvalidUpdateReportsErrorAndKeepsState) {
   // Inserting an edge that already exists must fail without wedging the
   // graph: the follow-up solve still answers with the original scores.

@@ -32,6 +32,9 @@ using testing::expect_scores_near;
 
 constexpr int kClients = 8;
 constexpr int kRequestsPerClient = 100;
+/// Width of every request's solves: a multi-worker pool even on small
+/// hosts, so concurrent solves share a genuinely parallel scheduler.
+constexpr int kSolveThreads = 4;
 
 CsrGraph private_graph(int client) {
   // Small but non-trivial: cliques + pendants give APGRE real blocks and
@@ -44,15 +47,6 @@ CsrGraph shared_graph() { return attach_pendants(caveman(4, 5, 55), 8, 56); }
 
 std::string private_name(int client) {
   return "private_" + std::to_string(client);
-}
-
-/// CI matrix knob: APGRE_STRESS_SCHEDULER=off routes every APGRE request
-/// through the flat OpenMP path (SchedulerOptions::enabled = false), so the
-/// TSan tier exercises both the reentrant scheduler kernels and the
-/// legacy_omp_kernel_mutex self-serialization under the same 8-client load.
-bool scheduler_enabled_for_stress() {
-  const char* env = std::getenv("APGRE_STRESS_SCHEDULER");
-  return env == nullptr || std::strcmp(env, "off") != 0;
 }
 
 /// CI matrix knob: APGRE_STRESS_PARALLEL_BCC=on forces the parallel
@@ -72,9 +66,8 @@ ParallelDecomposition parallel_bcc_for_stress() {
 /// mutation from the graph's current state, which only this client
 /// mutates, so the stream is reproducible in the replay. The solve mix
 /// deliberately includes the parallel kernels (hybrid, lock-free, APGRE's
-/// fine-grained paths) — before the scheduler went reentrant these were
-/// serialized behind a process-wide service mutex, and this sweep is what
-/// demonstrates they no longer need it.
+/// fine-grained paths), all on the shared work-stealing pool; this sweep is
+/// what demonstrates they need no serialization.
 Request next_request(Service& service, std::mt19937_64& rng, int client) {
   Request request;
   const std::uint64_t roll = rng() % 10;
@@ -83,7 +76,6 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
     request.graph = private_name(client);
     request.options.algorithm =
         (roll == 0) ? Algorithm::kBrandesSerial : Algorithm::kApgre;
-    request.options.scheduler.enabled = scheduler_enabled_for_stress();
     request.options.apgre.partition.parallel_decomposition =
         parallel_bcc_for_stress();
   } else if (roll < 5) {
@@ -119,12 +111,12 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
       case 2: request.options.algorithm = Algorithm::kLockFree; break;
       default:
         request.options.algorithm = Algorithm::kApgre;
-        request.options.scheduler.enabled = scheduler_enabled_for_stress();
         request.options.apgre.partition.parallel_decomposition =
             parallel_bcc_for_stress();
         break;
     }
   }
+  request.options.threads = kSolveThreads;
   return request;
 }
 

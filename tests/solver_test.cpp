@@ -13,6 +13,7 @@
 #include "graph/mutate.hpp"
 #include "graph/transform.hpp"
 #include "support/metrics.hpp"
+#include "support/sched/scheduler.hpp"
 
 namespace apgre {
 namespace {
@@ -27,16 +28,13 @@ std::uint64_t decompositions() {
   return metrics().counter("bcc.decompositions").value();
 }
 
-/// Options pinned to one OpenMP thread and one scheduler worker. The
-/// bitwise-equality tests below need a machine-independent accumulation
-/// order: with several workers, which tasks land on which worker (and so
-/// the FP merge order) depends on steal timing, and the flat path's
-/// per-thread buffers merge in omp-critical arrival order — either can
-/// differ between two runs under load.
+/// Options pinned to one scheduler worker. The bitwise-equality tests
+/// below need a machine-independent accumulation order: with several
+/// workers, which tasks land on which worker (and so the FP merge order)
+/// depends on steal timing, which can differ between two runs under load.
 BcOptions pinned_options() {
   BcOptions opts;
   opts.threads = 1;
-  opts.scheduler.threads = 1;
   return opts;
 }
 
@@ -122,21 +120,27 @@ TEST(Solver, NonApgreAlgorithmsPassThrough) {
   EXPECT_EQ(r.scores, betweenness(g, serial).scores);
 }
 
-TEST(Solver, SchedulerAndFlatPathsAgree) {
-  for (const CorpusCase& c : graph_corpus(/*seed=*/3, /*tiny=*/true)) {
-    Solver solver(c.graph);
-    BcOptions scheduled;  // default: scheduler enabled
-    BcOptions flat;
-    flat.scheduler.enabled = false;
-    const BcResult a = solver.solve(scheduled);
-    const BcResult b = solver.solve(flat);
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    const ScoreComparison cmp = compare_scores(b.scores, a.scores);
-    EXPECT_TRUE(cmp.ok) << c.name << ": worst vertex " << cmp.worst_vertex
-                        << " flat " << cmp.expected_score << " scheduled "
-                        << cmp.actual_score;
-  }
+// BcOptions::threads is the one width knob: 1 runs APGRE inline on one
+// worker, 0 on the shared pool, anything else on a pool of that width.
+TEST(Solver, ThreadsPickTheApgrePoolWidth) {
+  const CsrGraph g = skewed_graph();
+  BcOptions one;
+  one.threads = 1;
+  const BcResult r1 = betweenness(g, one);
+  ASSERT_TRUE(r1.status.ok());
+  EXPECT_EQ(r1.apgre_stats.sched_workers, 1);
+  EXPECT_EQ(r1.apgre_stats.sched_steals, 0u);
+
+  const BcResult shared = betweenness(g, BcOptions{});
+  EXPECT_EQ(shared.apgre_stats.sched_workers,
+            WorkStealingScheduler::shared().num_workers());
+
+  BcOptions three;
+  three.threads = 3;
+  const BcResult r3 = betweenness(g, three);
+  EXPECT_EQ(r3.apgre_stats.sched_workers, 3);
+  const ScoreComparison cmp = compare_scores(r1.scores, r3.scores);
+  EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
 }
 
 TEST(Solver, TrackedSolveMatchesUntrackedScores) {
@@ -387,6 +391,10 @@ TEST(ValidateOptions, RejectsBadValuesWithoutThrowing) {
   BcOptions bad_threads;
   bad_threads.threads = -2;
   EXPECT_EQ(validate_options(bad_threads).code, StatusCode::kInvalidOption);
+  bad_threads.threads = WorkStealingScheduler::kMaxWorkers;
+  EXPECT_TRUE(validate_options(bad_threads).ok());
+  bad_threads.threads = WorkStealingScheduler::kMaxWorkers + 1;
+  EXPECT_EQ(validate_options(bad_threads).code, StatusCode::kInvalidOption);
 
   BcOptions bad_fraction;
   bad_fraction.apgre.fine_grain_fraction = 1.5;
@@ -395,11 +403,6 @@ TEST(ValidateOptions, RejectsBadValuesWithoutThrowing) {
   BcOptions bad_grain;
   bad_grain.scheduler.grain = -1;
   EXPECT_EQ(validate_options(bad_grain).code, StatusCode::kInvalidOption);
-
-  BcOptions bad_sched_threads;
-  bad_sched_threads.scheduler.threads = -4;
-  EXPECT_EQ(validate_options(bad_sched_threads).code,
-            StatusCode::kInvalidOption);
 
   BcOptions bad_algorithm;
   bad_algorithm.algorithm = static_cast<Algorithm>(999);

@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,7 +108,12 @@ Request parse_request(const JsonValue& obj, const std::string& op) {
     request.options.algorithm =
         algorithm_from_name(obj.at("algorithm").as_string());
   }
-  request.options.threads = static_cast<int>(obj.get("threads", 0.0));
+  // Clamped into int range so the cast is defined for any JSON number;
+  // validate_options rejects widths outside [0, kMaxWorkers].
+  request.options.threads = static_cast<int>(
+      std::clamp(obj.get("threads", 0.0),
+                 static_cast<double>(std::numeric_limits<int>::min()),
+                 static_cast<double>(std::numeric_limits<int>::max())));
   if (obj.contains("undirected_halving")) {
     request.options.undirected_halving =
         obj.at("undirected_halving").as_bool();

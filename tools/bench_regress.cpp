@@ -43,7 +43,7 @@
 #include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
+#include "support/sched/scheduler.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
@@ -55,39 +55,21 @@ using namespace apgre;
 
 constexpr std::int64_t kSchemaVersion = 1;
 
-/// One measured column of the report: a label plus the options that
-/// produce it. Labels are registry names, except `apgre_flat` — APGRE
-/// with the work-stealing scheduler disabled, kept in the default set so
-/// every report records the flat-vs-scheduled comparison.
-struct MeasureSpec {
-  std::string label;
-  BcOptions opts;
-};
-
-std::vector<MeasureSpec> parse_algo_set(const std::string& spec) {
-  std::vector<MeasureSpec> set;
+/// The measured columns of the report, one registry algorithm each.
+std::vector<Algorithm> parse_algo_set(const std::string& spec) {
+  std::vector<Algorithm> set;
   auto add = [&set](const std::string& name) {
-    MeasureSpec m;
-    m.label = name;
-    if (name == "apgre_flat") {
-      m.opts.algorithm = Algorithm::kApgre;
-      m.opts.scheduler.enabled = false;
-    } else {
-      m.opts.algorithm = algorithm_from_name(name);
-    }
-    set.push_back(std::move(m));
+    set.push_back(algorithm_from_name(name));
   };
   std::stringstream ss(spec);
   std::string name;
   while (std::getline(ss, name, ',')) {
     if (name.empty()) continue;
     if (name == "exact") {
-      // Registry-derived default: every exact non-oracle algorithm, plus
-      // the flat-loop APGRE variant.
+      // Registry-derived default: every exact non-oracle algorithm.
       for (const AlgorithmInfo& info : algorithm_registry()) {
         if (info.exact && !info.test_only) add(info.name);
       }
-      add("apgre_flat");
     } else {
       add(name);
     }
@@ -117,7 +99,7 @@ std::vector<BenchGraph> build_graph_list(const std::string& graphs,
     }
   }
   // The scheduler's skewed-decomposition stress graph rides along in every
-  // set, so the flat-vs-scheduled comparison is recorded per report.
+  // set, so every report records APGRE on its stress workload.
   const bench::Workload skew = bench::skewed_workload(scale);
   list.push_back({"workload/" + skew.id, skew.build()});
   return list;
@@ -158,9 +140,10 @@ JsonValue snapshot_metrics() {
   return JsonValue(std::move(out));
 }
 
-JsonValue measure(const BenchGraph& bg, const MeasureSpec& spec, int repeat,
+JsonValue measure(const BenchGraph& bg, Algorithm algorithm, int repeat,
                   int warmup, int threads) {
-  BcOptions opts = spec.opts;
+  BcOptions opts;
+  opts.algorithm = algorithm;
   opts.threads = threads;
   for (int i = 0; i < warmup; ++i) betweenness(bg.graph, opts);
   metrics().reset();
@@ -171,7 +154,8 @@ JsonValue measure(const BenchGraph& bg, const MeasureSpec& spec, int repeat,
   seconds.reserve(static_cast<std::size_t>(repeat));
   for (int i = 0; i < repeat; ++i) {
     const BcResult r = betweenness(bg.graph, opts);
-    APGRE_REQUIRE(r.status.ok(), spec.label + ": " + r.status.message);
+    APGRE_REQUIRE(r.status.ok(),
+                  algorithm_name(algorithm) + ": " + r.status.message);
     seconds.push_back(r.seconds);
     mteps.push_back(r.mteps);
   }
@@ -267,13 +251,11 @@ JsonValue run_service_workload(std::uint64_t seed, int clients,
 }
 
 /// --workload service_parallel: the reentrancy benchmark. Every request is
-/// a full solve with a *parallel* kernel (scheduled APGRE, flat APGRE,
-/// hybrid, lock-free), issued synchronously by `clients` concurrent
-/// threads. Before the scheduler went reentrant these solves serialized
-/// behind one process-wide mutex, so aggregate requests/sec stayed flat as
-/// clients grew; now they overlap, and this workload records the scaling
-/// (aggregate requests/sec + per-solve latency percentiles, per algorithm
-/// and overall) in the same schema-v1 report.
+/// a full solve with a *parallel* kernel (APGRE, hybrid, lock-free), issued
+/// synchronously by `clients` concurrent threads. All of them run on the
+/// reentrant work-stealing scheduler, so concurrent solves overlap; this
+/// workload records the scaling (aggregate requests/sec + per-solve latency
+/// percentiles, per algorithm and overall) in the same schema-v1 report.
 JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
                                         int per_client, int threads) {
   ServiceOptions options;
@@ -288,17 +270,8 @@ JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
   }
   APGRE_REQUIRE(!names.empty(), "service_parallel workload: empty corpus");
 
-  struct AlgoSpec {
-    const char* label;
-    Algorithm algorithm;
-    bool scheduler_enabled;
-  };
-  const AlgoSpec algos[] = {
-      {"apgre", Algorithm::kApgre, true},
-      {"apgre_flat", Algorithm::kApgre, false},
-      {"hybrid", Algorithm::kHybrid, true},
-      {"lockfree", Algorithm::kLockFree, true},
-  };
+  const Algorithm algos[] = {Algorithm::kApgre, Algorithm::kHybrid,
+                             Algorithm::kLockFree};
   constexpr std::size_t kAlgos = sizeof(algos) / sizeof(algos[0]);
 
   // Per-client latency samples, merged after the join (no shared mutable
@@ -320,8 +293,7 @@ JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
         Request request;
         request.kind = RequestKind::kSolve;
         request.graph = names[rng() % names.size()];
-        request.options.algorithm = algos[a].algorithm;
-        request.options.scheduler.enabled = algos[a].scheduler_enabled;
+        request.options.algorithm = algos[a];
         Timer solve_timer;
         const Response r = service.submit(std::move(request)).get();
         if (!r.ok) {
@@ -366,7 +338,7 @@ JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
         JsonValue(static_cast<std::int64_t>(per_algo[a].size()));
     entry["solve_seconds_p50"] = JsonValue(percentile(per_algo[a], 50.0));
     entry["solve_seconds_p90"] = JsonValue(percentile(per_algo[a], 90.0));
-    by_algo[algos[a].label] = JsonValue(std::move(entry));
+    by_algo[algorithm_name(algos[a])] = JsonValue(std::move(entry));
   }
   out["algorithms"] = JsonValue(std::move(by_algo));
   return JsonValue(std::move(out));
@@ -923,13 +895,12 @@ int main(int argc, char** argv) {
   flags.add_int("repeat", 5, "timed repetitions per (graph, algorithm)")
       .add_int("warmup", 1, "untimed warmup runs per (graph, algorithm)")
       .add_string("algo-set", "exact",
-                  "comma list of algorithm names, `exact` (every exact "
-                  "non-oracle registry entry + apgre_flat), or `apgre_flat` "
-                  "(apgre with the scheduler disabled)")
+                  "comma list of algorithm names, or `exact` (every exact "
+                  "non-oracle registry entry)")
       .add_string("graphs", "corpus", "graph set: corpus, workloads or both")
       .add_double("scale", 0.25, "workload linear-scale factor")
       .add_int("seed", 1, "corpus seed")
-      .add_int("threads", 0, "thread budget (0 = runtime default)")
+      .add_int("threads", 0, "solve width (0 = the shared pool)")
       .add_string("out", "", "write the JSON report to this path")
       .add_string("baseline", "", "compare against this prior report")
       .add_double("threshold", 0.50,
@@ -965,7 +936,7 @@ int main(int argc, char** argv) {
                   "stream workload: record the generated trajectory to this "
                   "edge-batch file");
 
-  std::vector<MeasureSpec> algo_set;
+  std::vector<Algorithm> algo_set;
   std::vector<BenchGraph> graph_list;
   std::string workload;
   try {
@@ -1114,8 +1085,9 @@ int main(int argc, char** argv) {
   JsonValue::Array results;
   for (const BenchGraph& bg : graph_list) {
     JsonValue::Object algorithms;
-    for (const MeasureSpec& spec : algo_set) {
-      algorithms[spec.label] = measure(bg, spec, repeat, warmup, threads);
+    for (Algorithm algorithm : algo_set) {
+      algorithms[algorithm_name(algorithm)] =
+          measure(bg, algorithm, repeat, warmup, threads);
     }
     JsonValue::Object entry;
     entry["graph"] = JsonValue(bg.name);
@@ -1133,7 +1105,8 @@ int main(int argc, char** argv) {
   report["revision"] = JsonValue(flags.get_string("revision"));
   {
     JsonValue::Object host;
-    host["omp_max_threads"] = JsonValue(static_cast<std::int64_t>(num_threads()));
+    host["pool_workers"] = JsonValue(static_cast<std::int64_t>(
+        WorkStealingScheduler::shared().num_workers()));
     host["trace_enabled"] = JsonValue(trace_enabled());
     report["host"] = JsonValue(std::move(host));
   }
