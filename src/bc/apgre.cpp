@@ -178,10 +178,9 @@ std::vector<double> subgraph_bc_serial(const Subgraph& sg) {
 // parallel forward phase (LevelSyncBfs: CAS vertex claims, atomic sigma,
 // optionally direction-optimising) and a parallel successor-pull backward
 // phase (single writer per delta cell), every level one nested
-// WorkStealingScheduler::parallel_for. This is the kernel the "dedicated"
-// large/few-root sub-graphs dispatch from inside scheduler tasks — paper
-// §4, Algorithm 2 — which is what lets N service clients drive N parallel
-// solves concurrently.
+// WorkStealingScheduler::parallel_for — paper §4, Algorithm 2. Exposed as
+// apgre_subgraph_bc_scheduled; the scoring phase splits work across roots
+// instead (see score_scheduled).
 // --------------------------------------------------------------------------
 
 struct FineScratch {
@@ -273,26 +272,29 @@ std::vector<double> subgraph_bc_fine(const Subgraph& sg, bool hybrid_inner,
   return bc;
 }
 
-/// Arc threshold above which a sub-graph is "large" (fine-grained tier).
-EdgeId fine_grain_cutoff(const ApgreOptions& opts, EdgeId total_arcs) {
-  return std::max<EdgeId>(
-      opts.fine_grain_min_arcs,
-      static_cast<EdgeId>(opts.fine_grain_fraction * static_cast<double>(total_arcs)));
-}
-
 // --------------------------------------------------------------------------
 // Scheduled scoring path: every (sub-graph, root-batch) pair becomes a task
-// on the work-stealing scheduler (support/sched/scheduler.hpp). Sub-graphs
-// too large to split profitably become *dedicated* tasks that run the
-// scheduler-native level-synchronous kernel, opening nested parallel_for
-// calls from inside their task body — the whole run is one scheduler
-// invocation, so concurrent solves interleave freely (no process-wide
-// lock). The kernel per tier is chosen adaptively from size / root-count
-// heuristics and the choice is recorded in ApgreStats.
+// on the work-stealing scheduler (support/sched/scheduler.hpp), all running
+// the serial kernel. The whole run is one scheduler invocation, so
+// concurrent solves interleave freely (no process-wide lock).
+//
+// The split is one cost model, with no tuning option of its own:
+//   * a sub-graph costs max(arcs, 1) * roots (one traversal per root);
+//   * target = total cost / (4 * workers);
+//   * a sub-graph over the target is cut into ceil(cost / target) root
+//     batches (at most one per root), or SchedulerOptions::grain roots
+//     each when that is set;
+//   * everything else is one task, and with one worker nothing is split,
+//     so the run stays inline and in order.
+// A few-root sub-graph over the target therefore splits down to one root
+// per task. The level-synchronous kernel (apgre_subgraph_bc_scheduled)
+// would split one root's traversal instead, but it measured 1.5-3x slower
+// than the serial kernel on every few-root shape up to 131k arcs (4 workers
+// on a 4-core x86 host), so the scoring phase does not use it. The choices are recorded in
+// ApgreStats.
 // --------------------------------------------------------------------------
 
 std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
-                                    const ApgreOptions& opts,
                                     const SchedulerOptions& sched, int threads,
                                     ApgreStats& stats) {
   const auto pool =
@@ -300,44 +302,46 @@ std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
   WorkStealingScheduler& scheduler = *pool;
   const int workers = scheduler.num_workers();
   const int slots = scheduler.num_slots();
-  const EdgeId fine_cutoff = fine_grain_cutoff(opts, g.num_arcs());
-  const bool inner_parallel_pays = workers > 1;
 
-  // Classify: `dedicated` sub-graphs are large but have too few roots to
-  // split into enough batches to load-balance — fine-grained parallelism
-  // inside one source is the only lever left. Large sub-graphs with many
-  // roots split into root batches; everything else is one serial task.
   struct Piece {
     std::size_t sgi;
     std::size_t root_begin;
     std::size_t root_end;
-    std::uint64_t cost;  ///< ~arcs * roots, for largest-first distribution
-    bool batch;          ///< part of a split sub-graph (vs whole)
+    std::uint64_t cost;  ///< arcs * roots, for largest-first distribution
   };
-  std::vector<std::size_t> dedicated;
+  const auto cost_of = [&dec](std::size_t i) {
+    const Subgraph& sg = dec.subgraphs[i];
+    return std::max<std::uint64_t>(sg.num_arcs(), 1) *
+           static_cast<std::uint64_t>(sg.roots.size());
+  };
+  std::uint64_t total_cost = 0;
+  for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) total_cost += cost_of(i);
+  // With one worker nothing is split: the run stays inline and in order.
+  const std::uint64_t target =
+      workers > 1 ? std::max<std::uint64_t>(
+                        1, total_cost / (4 * static_cast<std::uint64_t>(workers)))
+                  : total_cost;
+
   std::vector<Piece> pieces;
   for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
     const Subgraph& sg = dec.subgraphs[i];
     const std::size_t roots = sg.roots.size();
     if (roots == 0) continue;
-    const bool large = sg.num_arcs() >= fine_cutoff;
-    if (large && sched.adaptive_kernel && inner_parallel_pays &&
-        roots < 2 * static_cast<std::size_t>(workers)) {
-      dedicated.push_back(i);
-      continue;
-    }
+    const std::uint64_t cost = cost_of(i);
     std::size_t grain = roots;
-    if (large) {
-      grain = sched.grain > 0
-                  ? static_cast<std::size_t>(sched.grain)
-                  : std::max<std::size_t>(
-                        1, roots / (4 * static_cast<std::size_t>(workers)));
+    if (cost > target) {
+      if (sched.grain > 0) {
+        grain = static_cast<std::size_t>(sched.grain);
+      } else {
+        const std::uint64_t batches = std::min<std::uint64_t>(
+            roots, (cost + target - 1) / target);
+        grain = (roots + batches - 1) / batches;
+      }
     }
     const std::uint64_t arc_cost = std::max<std::uint64_t>(sg.num_arcs(), 1);
     for (std::size_t b = 0; b < roots; b += grain) {
       const std::size_t e = std::min(roots, b + grain);
-      pieces.push_back(
-          {i, b, e, arc_cost * static_cast<std::uint64_t>(e - b), large});
+      pieces.push_back({i, b, e, arc_cost * static_cast<std::uint64_t>(e - b)});
     }
   }
   // Largest pieces first: run() deals tasks round-robin, and thieves steal
@@ -351,10 +355,7 @@ std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
   // points, but giving each slot a private global-id buffer (lazily
   // allocated on first use) makes every task body race-free without locks.
   // Sized num_slots(): external participant threads get slots beyond the
-  // pool workers. Safe under nesting too — a dedicated task's nested
-  // parallel_for may pop another task of this run onto the same slot, but
-  // that task runs to completion before the wait loop resumes, and the
-  // dedicated task touches its WorkerBuf only after its kernel finishes.
+  // pool workers.
   struct WorkerBuf {
     std::vector<double> bc;
     SubgraphScratch scratch;
@@ -363,34 +364,8 @@ std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
   std::vector<WorkerBuf> bufs(static_cast<std::size_t>(slots));
   const Vertex n_global = g.num_vertices();
 
-  // Dedicated sub-graphs run inside scheduler tasks like everything else;
-  // their wall time is summed here so the Figure-8 top/rest breakdown
-  // survives the move off the serial pre-pass.
-  std::atomic<double> dedicated_seconds{0.0};
-
   std::vector<WorkStealingScheduler::Task> tasks;
-  tasks.reserve(dedicated.size() + pieces.size());
-  for (std::size_t sgi : dedicated) {
-    tasks.push_back([&dec, &bufs, &scheduler, &opts, &dedicated_seconds,
-                     n_global, sgi](int slot) {
-      Timer timer;
-      const Subgraph& sg = dec.subgraphs[sgi];
-      // Dense low-diameter sub-graphs flip to the direction-optimising
-      // forward phase even when the caller left hybrid_inner off.
-      const bool hybrid =
-          opts.hybrid_inner ||
-          (sg.num_vertices() > 0 &&
-           sg.num_arcs() / static_cast<EdgeId>(sg.num_vertices()) >= 16);
-      const std::vector<double> local =
-          subgraph_bc_fine(sg, hybrid, scheduler);
-      WorkerBuf& wb = bufs[static_cast<std::size_t>(slot)];
-      if (wb.bc.empty()) wb.bc.assign(n_global, 0.0);
-      for (Vertex v = 0; v < sg.num_vertices(); ++v) {
-        wb.bc[sg.to_global[v]] += local[v];
-      }
-      dedicated_seconds.fetch_add(timer.seconds(), std::memory_order_relaxed);
-    });
-  }
+  tasks.reserve(pieces.size());
   for (const Piece& p : pieces) {
     tasks.push_back([&dec, &bufs, n_global, p](int slot) {
       WorkerBuf& wb = bufs[static_cast<std::size_t>(slot)];
@@ -417,16 +392,14 @@ std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
       for (Vertex v = 0; v < n_global; ++v) bc[v] += wb.bc[v];
     }
   }
-  stats.top_bc_seconds += dedicated_seconds.load(std::memory_order_relaxed);
   for (const WorkerBuf& wb : bufs) {
     if (wb.scratch.sources != 0) {
       flush_kernel_tallies(wb.scratch.sources, wb.scratch.traversed_arcs);
     }
   }
 
-  stats.num_fine_subgraphs = dedicated.size();
   for (const Piece& p : pieces) {
-    if (p.batch && (p.root_begin != 0 || p.root_end != dec.subgraphs[p.sgi].roots.size())) {
+    if (p.root_end - p.root_begin < dec.subgraphs[p.sgi].roots.size()) {
       ++stats.num_batch_tasks;
     } else {
       ++stats.num_subgraph_tasks;
@@ -453,7 +426,6 @@ std::vector<double> apgre_subgraph_bc_scheduled(const Subgraph& sg,
 
 std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
                                                 const Decomposition& dec,
-                                                const ApgreOptions& opts,
                                                 ApgreStats* stats,
                                                 const SchedulerOptions& sched,
                                                 int threads) {
@@ -470,7 +442,7 @@ std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
   }
 
   Timer score_timer;
-  std::vector<double> bc = score_scheduled(g, dec, opts, sched, threads, local);
+  std::vector<double> bc = score_scheduled(g, dec, sched, threads, local);
   local.total_seconds = local.peel_seconds + local.partition_seconds +
                         local.reach_seconds + score_timer.seconds();
 
@@ -488,13 +460,15 @@ std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
   if (stats != nullptr) *stats = local;
 
   MetricsRegistry& m = metrics();
+  // Registered even when no source ran (a forest peels to nothing), so
+  // every APGRE solve reports the same kernel keys.
+  flush_kernel_tallies(0, 0);
   m.counter("apgre.runs").add(1);
   m.counter("apgre.subgraphs").add(local.num_subgraphs);
   m.counter("apgre.articulation_points").add(local.num_articulation_points);
   m.counter("apgre.pendants_removed").add(local.num_pendants_removed);
   m.gauge("apgre.partition_seconds").set(local.partition_seconds);
   m.gauge("apgre.reach_seconds").set(local.reach_seconds);
-  m.gauge("apgre.top_bc_seconds").set(local.top_bc_seconds);
   m.gauge("apgre.rest_bc_seconds").set(local.rest_bc_seconds);
   m.gauge("apgre.total_seconds").set(local.total_seconds);
   m.gauge("apgre.partial_redundancy").set(local.partial_redundancy);
@@ -550,13 +524,11 @@ std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
         compute_reach_counts(core, dec, opts.partition.reach,
                              &peel.anchor_weight, threads);
       }
-      ApgreOptions inner = opts;
-      inner.partition = popts;
       local.peel_seconds = peel_seconds;
       local.peeled_vertices = peel.num_peeled;
       local.core_fraction = peel.core_fraction();
       std::vector<double> bc =
-          apgre_bc_with_decomposition(core, dec, inner, &local, sched, threads);
+          apgre_bc_with_decomposition(g, dec, &local, sched, threads);
       expand_peeled_scores(peel, bc);
       metrics().gauge("graph.peel.seconds").set(peel_seconds);
       if (stats != nullptr) *stats = local;
@@ -583,7 +555,7 @@ std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
   }
   // Step 3: scoring + stats/metrics.
   std::vector<double> bc =
-      apgre_bc_with_decomposition(g, dec, opts, &local, sched, threads);
+      apgre_bc_with_decomposition(g, dec, &local, sched, threads);
   if (stats != nullptr) *stats = local;
   return bc;
 }

@@ -6,11 +6,11 @@
 //   2. count alpha/beta for every boundary articulation point (bcc/reach.hpp),
 //   3. run a per-sub-graph Brandes variant that accumulates the four
 //      dependency types (in2in, in2out, out2in, out2out) in one backward
-//      sweep and merges them into global BC scores, with
-//        * coarse-grained parallelism across sub-graphs and
-//        * fine-grained level-synchronous parallelism inside large ones
-//      (the paper's two-level parallelism), both on the work-stealing
-//      scheduler (support/sched/scheduler.hpp).
+//      sweep and merges them into global BC scores, with parallelism
+//      across sub-graphs and, inside costly ones, across root batches, on
+//      the work-stealing scheduler (support/sched/scheduler.hpp). The
+//      paper's fine-grained level-synchronous kernel is available per
+//      sub-graph as apgre_subgraph_bc_scheduled.
 //
 // Two deliberate corrections to the paper's pseudocode (validated against
 // Brandes and the naive oracle; see DESIGN.md §2):
@@ -28,20 +28,10 @@
 
 namespace apgre {
 
+/// How the scoring phase splits its work is not an option: one cost model
+/// decides it (score_scheduled in bc/apgre.cpp; docs/INTERNALS.md §4).
 struct ApgreOptions {
   PartitionOptions partition;
-  /// Sub-graphs holding at least this fraction of all arcs (and at least
-  /// fine_grain_min_arcs) are "large": split into root-batch tasks, or —
-  /// with too few roots to split — scored by the fine-grained
-  /// level-synchronous kernel. Smaller ones run whole as one serial task.
-  double fine_grain_fraction = 0.125;
-  /// Sub-graphs with fewer arcs than this are never "large".
-  EdgeId fine_grain_min_arcs = 1u << 14;
-  /// Use a direction-optimising (Beamer-style top-down/bottom-up) forward
-  /// phase inside the fine-grained kernel — the composition of the paper's
-  /// decomposition with the `hybrid` baseline's BFS. Exactness is
-  /// unaffected; pays off on low-diameter sub-graphs with fat frontiers.
-  bool hybrid_inner = false;
 };
 
 /// Phase breakdown and decomposition summary (paper Figure 8 / Table 4).
@@ -54,11 +44,8 @@ struct ApgreStats {
   double peel_seconds = 0.0;
   Vertex peeled_vertices = 0;
   double core_fraction = 1.0;
-  /// Summed wall time of the dedicated sub-graphs — those too large to
-  /// root-split, scored with the fine-grained level-synchronous kernel.
-  double top_bc_seconds = 0.0;
   /// Wall time of the whole work-stealing run over (sub-graph, root-batch)
-  /// tasks, dedicated sub-graphs included.
+  /// tasks: the scoring phase.
   double rest_bc_seconds = 0.0;
   double total_seconds = 0.0;
 
@@ -71,12 +58,11 @@ struct ApgreStats {
   double partial_redundancy = 0.0;
   double total_redundancy = 0.0;
 
-  /// Two-level scheduler breakdown. The adaptive kernel choice (SchedulerOptions::adaptive_kernel) is recorded
-  /// here: `num_fine_subgraphs` ran whole as dedicated tasks with the
-  /// scheduler-native level-synchronous kernel (nested parallel_for),
-  /// `num_batch_tasks` + `num_subgraph_tasks` ran the serial kernel on
-  /// scheduler workers.
-  std::size_t num_fine_subgraphs = 0;  ///< dedicated level-synchronous runs
+  /// Scheduler breakdown of the cost model's choices (see ApgreOptions).
+  /// Always 0: the scoring phase no longer runs sub-graphs on the
+  /// level-synchronous kernel. Kept because the benchmark's
+  /// `sched.fine_subgraphs` column reads it.
+  std::size_t num_fine_subgraphs = 0;
   std::size_t num_batch_tasks = 0;     ///< root-batch tasks of split sub-graphs
   std::size_t num_subgraph_tasks = 0;  ///< whole-sub-graph serial tasks
   int sched_workers = 0;               ///< width of the pool the solve ran on
@@ -93,27 +79,32 @@ std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts = {},
                              const SchedulerOptions& sched = {}, int threads = 0);
 
 /// Scoring only, on a caller-supplied decomposition whose alpha/beta reach
-/// counts are already filled in (compute_reach_counts). This is the Solver
-/// fast path (bc/bc.hpp): decompose once, score many times. When `stats` is
-/// non-null its partition_seconds / reach_seconds are kept as-is (the
-/// caller reports what *it* spent — zero on a cache hit) and every other
-/// field is overwritten; total_seconds covers partition + reach + scoring.
+/// counts are already filled in (compute_reach_counts), so no ApgreOptions
+/// apply. This is the Solver fast path (bc/bc.hpp): decompose once, score
+/// many times. `g` is the input graph; `dec` may decompose its peeled core
+/// reduction (same vertex ids), and then the scores are reduced-graph
+/// scores for expand_peeled_scores while the redundancy is still reported
+/// against g's V * A (Decomposition::work_model). When `stats` is non-null
+/// its partition_seconds / reach_seconds are kept as-is (the caller reports
+/// what *it* spent — zero on a cache hit) and every other field is
+/// overwritten; total_seconds covers partition + reach + scoring.
 std::vector<double> apgre_bc_with_decomposition(
-    const CsrGraph& g, const Decomposition& dec, const ApgreOptions& opts = {},
-    ApgreStats* stats = nullptr, const SchedulerOptions& sched = {},
-    int threads = 0);
+    const CsrGraph& g, const Decomposition& dec, ApgreStats* stats = nullptr,
+    const SchedulerOptions& sched = {}, int threads = 0);
 
 /// BC scores of one sub-graph in local ids (paper Algorithm 2, BCinSG),
 /// serial kernel — deterministic, so the Solver's contribution store and
 /// the tests use it as the per-block oracle.
 std::vector<double> apgre_subgraph_bc(const Subgraph& sg);
 
-/// The same scores from the fine-grained level-synchronous kernel the
-/// dedicated large sub-graphs run: every BFS level is one
-/// WorkStealingScheduler::parallel_for on the pool for `threads`, so
-/// concurrent invocations from different threads are safe. `hybrid_inner`
-/// enables the direction-optimising forward phase. Exposed for the
-/// differential tests against the serial kernel.
+/// The same scores from the paper's fine-grained level-synchronous kernel:
+/// every BFS level is one WorkStealingScheduler::parallel_for on the pool
+/// for `threads`, so concurrent invocations from different threads are
+/// safe. `hybrid_inner` enables a direction-optimising (Beamer-style)
+/// forward phase — the composition of the decomposition with the `hybrid`
+/// baseline's BFS. Exactness is unaffected either way. The scoring phase
+/// does not use this kernel (see ApgreOptions); it is exposed for callers
+/// scoring one sub-graph and for the differential tests.
 std::vector<double> apgre_subgraph_bc_scheduled(const Subgraph& sg,
                                                 bool hybrid_inner = false,
                                                 int threads = 0);

@@ -159,12 +159,6 @@ Status validate_options(const BcOptions& opts) {
         std::to_string(WorkStealingScheduler::kMaxWorkers) + "], got " +
         std::to_string(opts.threads));
   }
-  const ApgreOptions& a = opts.apgre;
-  if (!(a.fine_grain_fraction >= 0.0 && a.fine_grain_fraction <= 1.0)) {
-    return Status::invalid_option(
-        "apgre.fine_grain_fraction must be in [0, 1], got " +
-        std::to_string(a.fine_grain_fraction));
-  }
   const SchedulerOptions& s = opts.scheduler;
   if (s.grain < 0) {
     return Status::invalid_option("scheduler.grain must be >= 0, got " +
@@ -245,9 +239,8 @@ BcResult Solver::solve(const BcOptions& opts) {
       result.scores = tracked_scores_;
       stats.num_subgraphs = dec_->subgraphs.size();
     } else {
-      const CsrGraph& base = reduced_ != nullptr ? *reduced_ : g;
-      result.scores = apgre_bc_with_decomposition(
-          base, *dec_, opts.apgre, &stats, opts.scheduler, opts.threads);
+      result.scores = apgre_bc_with_decomposition(g, *dec_, &stats,
+                                                  opts.scheduler, opts.threads);
       if (reduced_ != nullptr) expand_peeled_scores(*peel_, result.scores);
     }
     result.apgre_stats = stats;

@@ -103,7 +103,7 @@ struct BcOptions {
   bool undirected_halving = false;
   /// APGRE tuning (ignored by other algorithms).
   ApgreOptions apgre;
-  /// APGRE's scoring-phase knobs: grain, steal policy, adaptive kernel
+  /// APGRE's scoring-phase knobs: grain and steal policy
   /// (support/sched/scheduler.hpp; ignored by other algorithms).
   SchedulerOptions scheduler;
   /// kSampling: number of sampled sources (0 = sqrt(|V|)) and seed.

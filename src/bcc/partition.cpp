@@ -135,10 +135,16 @@ Decomposition::WorkModel Decomposition::work_model(EdgeId total_arcs) const {
   WorkModel model;
   model.brandes =
       static_cast<double>(num_vertices) * static_cast<double>(total_arcs);
-  double all_sources = 0.0;  // sum |V_i| * arcs_i (partial elimination only)
+  // Partial elimination only: every root plus every derived DAG (gamma)
+  // would be a source. Gamma counts the removed pendants, so this is
+  // sum |V_i| * arcs_i, plus each peeled vertex at its anchor's sub-graph
+  // on a decomposition of the peeled core.
+  double all_sources = 0.0;
   for (const Subgraph& sg : subgraphs) {
     const double arcs = static_cast<double>(sg.num_arcs());
-    all_sources += static_cast<double>(sg.num_vertices()) * arcs;
+    double sources = static_cast<double>(sg.roots.size());
+    for (Vertex derived : sg.gamma) sources += static_cast<double>(derived);
+    all_sources += sources * arcs;
     model.apgre += static_cast<double>(sg.roots.size()) * arcs;
   }
   if (model.brandes > 0.0) {

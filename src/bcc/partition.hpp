@@ -104,8 +104,11 @@ struct Decomposition {
   Vertex num_vertices = 0;
 
   /// Work model used for the Figure-7 redundancy breakdown, in units of
-  /// source x arc: Brandes does num_vertices * num_arcs; APGRE does
-  /// sum_i |R_i| * arcs_i.
+  /// source x arc: Brandes does num_vertices * total_arcs; APGRE does
+  /// sum_i |R_i| * arcs_i. `total_arcs` is the input graph's arc count,
+  /// also when this decomposes its peeled core reduction: peeled vertices
+  /// then count as derived DAGs (gamma) at their anchors, and whole peeled
+  /// tree components as eliminated outright.
   struct WorkModel {
     double brandes = 0.0;           ///< |V| * |arcs|
     double apgre = 0.0;             ///< sum |R_i| * arcs_i

@@ -337,7 +337,29 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
                                                 const ApgreStats& stats,
                                                 const ApgreOptions& opts) {
   std::vector<std::string> violations;
-  const Decomposition dec = decompose(g, opts.partition);
+  // Rebuild the decomposition the solve scored: with the 2-core peel that
+  // is the peeled core reduction, its anchors carrying the peeled vertices
+  // as derived pendant multiplicities (bc/apgre.cpp apgre_bc).
+  const bool peel_requested =
+      (opts.partition.peel_two_core || stats.peeled_vertices > 0) &&
+      !g.directed();
+  PeelResult peel;
+  if (peel_requested) peel = two_core_peel(g);
+  if (stats.peeled_vertices != peel.num_peeled) {
+    violation(violations, "stats report ", stats.peeled_vertices,
+              " peeled vertices, the 2-core peel removes ", peel.num_peeled);
+  }
+  const bool peeled = peel.num_peeled > 0;
+  const CsrGraph core = peeled ? peeled_core_reduction(g, peel) : CsrGraph{};
+  const CsrGraph& base = peeled ? core : g;
+  PartitionOptions popts = opts.partition;
+  popts.peel_two_core = false;
+  Decomposition dec = decompose(base, popts);
+  Vertex derived = opts.partition.total_redundancy ? pendant_census(base) : 0;
+  if (peeled) {
+    inject_pendant_weights(dec, peel.anchor_weight);
+    for (Vertex w : peel.anchor_weight) derived += w;
+  }
 
   if (stats.num_subgraphs != dec.subgraphs.size()) {
     violation(violations, "stats report ", stats.num_subgraphs,
@@ -352,14 +374,10 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
               " pendants removed, decomposition yields ",
               dec.num_pendants_removed);
   }
-  if (opts.partition.total_redundancy &&
-      stats.num_pendants_removed != pendant_census(g)) {
+  if (stats.num_pendants_removed != derived) {
     violation(violations, "stats report ", stats.num_pendants_removed,
-              " pendants removed, degree census counts ", pendant_census(g));
-  }
-  if (!opts.partition.total_redundancy && stats.num_pendants_removed != 0) {
-    violation(violations, "pendant derivation disabled but stats report ",
-              stats.num_pendants_removed, " pendants removed");
+              " pendants removed, degree census and peel anchors count ",
+              derived);
   }
   if (!dec.subgraphs.empty()) {
     const Subgraph& top = dec.subgraphs[dec.top_subgraph];
@@ -385,7 +403,7 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
   }
 
   const double phases[] = {stats.partition_seconds, stats.reach_seconds,
-                           stats.top_bc_seconds, stats.rest_bc_seconds};
+                           stats.rest_bc_seconds};
   double phase_sum = 0.0;
   for (double phase : phases) {
     if (phase < 0.0) violation(violations, "negative phase time ", phase);

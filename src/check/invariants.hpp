@@ -39,10 +39,13 @@ std::vector<std::string> check_decomposition_invariants(
     const CsrGraph& g, const Decomposition& dec,
     std::size_t max_reach_checks = static_cast<std::size_t>(-1));
 
-/// ApgreStats invariants against a fresh decompose(g, opts.partition):
-/// sub-graph / AP / pendant counters, top sub-graph size, the Figure-7
-/// redundancy fractions, and phase-timing sanity (non-negative phases that
-/// sum to at most the total).
+/// ApgreStats invariants against a fresh decompose(g, opts.partition) — of
+/// the peeled core reduction, with the peel's anchor weights injected, when
+/// opts.partition.peel_two_core is set or the stats report peeled vertices
+/// (undirected inputs): peeled-vertex count, sub-graph / AP / pendant
+/// counters, top sub-graph size, the Figure-7 redundancy fractions against
+/// g's V * A, and phase-timing sanity (non-negative phases that sum to at
+/// most the total).
 std::vector<std::string> check_stats_invariants(const CsrGraph& g,
                                                 const ApgreStats& stats,
                                                 const ApgreOptions& opts = {});

@@ -87,12 +87,15 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     switch (e.kind) {
       case MetricKind::kCounter:
         sample.number = static_cast<double>(e.counter->value());
+        sample.written = e.counter->written();
         break;
       case MetricKind::kGauge:
         sample.number = e.gauge->value();
+        sample.written = sample.number != 0.0;
         break;
       case MetricKind::kHistogram:
         sample.number = static_cast<double>(e.histogram->count());
+        sample.written = sample.number != 0.0;
         sample.buckets = e.histogram->buckets();
         sample.histogram_sum = e.histogram->sum();
         break;

@@ -31,12 +31,19 @@ class Counter {
  public:
   void add(std::uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
+    written_.store(true, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  /// add() was called since the last reset(), add(0) included.
+  bool written() const { return written_.load(std::memory_order_relaxed); }
+  void reset() {
+    value_.store(0, std::memory_order_relaxed);
+    written_.store(false, std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<std::uint64_t> value_{0};
+  std::atomic<bool> written_{false};
 };
 
 /// Last-write-wins double (phase seconds, ratios); add() for the rare case
@@ -83,6 +90,9 @@ struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   double number = 0.0;
+  /// Updated since the last reset(): Counter::written() for counters, a
+  /// non-zero value for gauges, at least one observation for histograms.
+  bool written = false;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
   std::uint64_t histogram_sum = 0;
 };

@@ -73,17 +73,12 @@ std::string steal_policy_name(StealPolicy policy);
 /// Per-solve scheduling knobs of APGRE's scoring phase (BcOptions::scheduler).
 /// The solve's width is BcOptions::threads, not a field here.
 struct SchedulerOptions {
-  /// Roots per fine-grained (sub-graph, root-batch) task when a large
-  /// sub-graph is split; 0 picks roots / (4 * workers), at least 1.
+  /// Roots per (sub-graph, root-batch) task when APGRE's cost model
+  /// splits a sub-graph (score_scheduled in bc/apgre.cpp); 0 lets the cost
+  /// model size the batches.
   int grain = 0;
   /// Victim selection of the pool the solve runs on (see pool_for()).
   StealPolicy steal_policy = StealPolicy::kRandom;
-  /// Choose the per-sub-graph kernel adaptively (bc/apgre.cpp): large
-  /// sub-graphs with too few roots to split become dedicated tasks running
-  /// the scheduler-native level-synchronous kernel (nested parallel_for);
-  /// everything else becomes root-batch tasks running the serial kernel.
-  /// When false, every sub-graph is root-batch-scheduled.
-  bool adaptive_kernel = true;
 };
 
 /// One run()'s outcome (also mirrored into the metrics registry). Steals

@@ -3,11 +3,16 @@
 // 1-3 claim, and the property these sweeps exercise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "bc/apgre.hpp"
 #include "bc/brandes.hpp"
 #include "bc/naive.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
+#include "support/metrics.hpp"
 #include "test_util.hpp"
 
 namespace apgre {
@@ -102,10 +107,9 @@ TEST(ApgreBc, SerialAndParallelKernelsAgree) {
   }
 }
 
-// Differential check for the scheduler-native level-synchronous kernel
-// (the one the dedicated large-sub-graph tasks dispatch): it must match the
-// serial oracle kernel on every sub-graph, with and without the
-// direction-optimising forward phase, on a real multi-worker scheduler.
+// Differential check for the scheduler-native level-synchronous kernel: it
+// must match the serial oracle kernel on every sub-graph, with and without
+// the direction-optimising forward phase, on a real multi-worker scheduler.
 TEST(ApgreBc, ScheduledKernelMatchesSerialOracle) {
   const CsrGraph g = attach_pendants(barabasi_albert(200, 3, 11), 50, 12);
   const Decomposition dec = decompose(g);
@@ -120,14 +124,53 @@ TEST(ApgreBc, ScheduledKernelMatchesSerialOracle) {
   }
 }
 
-// Full APGRE with every sub-graph forced onto the dedicated scheduler-native
-// path (cutoffs zeroed, multi-worker pool) stays exact against Brandes.
+// A small core carrying a large pendant fringe: one sub-graph with few
+// roots and many arcs, which dominates the cost and so has fewer roots than
+// the cost model wants batches.
+CsrGraph hub_with_fringe(Vertex core, Vertex pendants, std::uint64_t seed) {
+  return attach_pendants(complete(core), pendants, seed);
+}
+
+// The same shape directed: pendants feed the core through one out-arc each.
+CsrGraph directed_hub_with_fringe(Vertex core, Vertex pendants,
+                                  std::uint64_t seed) {
+  EdgeList arcs;
+  for (Vertex u = 0; u < core; ++u) {
+    for (Vertex v = 0; v < core; ++v) {
+      if (u != v) arcs.push_back({u, v});
+    }
+  }
+  return attach_pendants(CsrGraph::from_edges(core, arcs, true), pendants, seed);
+}
+
+// Full APGRE on a few-root input: the dominant sub-graph is split into
+// root batches of one root each, and the result stays exact.
+void expect_few_root_split_exact(const CsrGraph& g, int threads) {
+  ApgreStats stats;
+  testing::expect_scores_near(brandes_bc(g),
+                              apgre_bc(g, {}, &stats, {}, threads));
+  EXPECT_GT(stats.num_batch_tasks, 0u) << "dominant sub-graph not split";
+}
+
+// The level-synchronous kernel matches the serial kernel on every
+// sub-graph of `g`.
+void expect_scheduled_kernel_exact(const CsrGraph& g, bool hybrid_inner,
+                                   int threads) {
+  for (const Subgraph& sg : decompose(g).subgraphs) {
+    testing::expect_scores_near(
+        apgre_subgraph_bc(sg),
+        apgre_subgraph_bc_scheduled(sg, hybrid_inner, threads));
+  }
+}
+
+// Four workers on a hub whose satellite communities give it boundary APs:
+// full APGRE splits the hub across roots, and the level-synchronous kernel
+// scores every sub-graph exactly.
 TEST(ApgreBc, ForcedScheduledKernelPathStillExact) {
-  ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;
-  const CsrGraph g = attach_pendants(caveman(5, 6, 9), 15, 2);
-  expect_apgre_matches_brandes(g, opts, /*threads=*/4);
+  const CsrGraph g =
+      attach_communities(hub_with_fringe(5, 8200, 1), 2, 4, 2);
+  expect_few_root_split_exact(g, /*threads=*/4);
+  expect_scheduled_kernel_exact(g, /*hybrid_inner=*/false, /*threads=*/4);
 }
 
 TEST(ApgreBc, StatsAreFilled) {
@@ -144,24 +187,88 @@ TEST(ApgreBc, StatsAreFilled) {
   EXPECT_GT(stats.total_redundancy, 0.0);
 }
 
-TEST(ApgreBc, ForcedFineGrainedPathStillExact) {
-  ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;  // every sub-graph takes the parallel kernel
-  const CsrGraph g = attach_pendants(caveman(5, 6, 9), 15, 2);
-  expect_apgre_matches_brandes(g, opts);
+// The peel derives every fringe vertex's DAG from its anchor, so redundancy
+// is still measured against the whole input and the derived DAGs count as
+// total redundancy, exactly like removed pendants without the peel.
+TEST(ApgreBc, RedundancyIsReportedAgainstTheInputUnderBothPeelSettings) {
+  const CsrGraph g = attach_pendants(caveman(6, 8, 3), 60, 4);
+  for (const bool peel : {false, true}) {
+    SCOPED_TRACE(peel ? "peel on" : "peel off");
+    ApgreOptions opts;
+    opts.partition.peel_two_core = peel;
+    ApgreStats stats;
+    testing::expect_scores_near(brandes_bc(g), apgre_bc(g, opts, &stats));
+    EXPECT_EQ(stats.peeled_vertices > 0, peel);
+    EXPECT_GT(stats.total_redundancy, 0.0);
+    EXPECT_GE(stats.partial_redundancy, 0.0);
+    EXPECT_LE(stats.partial_redundancy + stats.total_redundancy, 1.0);
+  }
 }
 
-TEST(ApgreBc, HybridInnerKernelStillExact) {
-  // Direction-optimising forward phase inside the fine-grained kernel.
+// A forest peels to nothing and never reaches the kernel; the kernel
+// counters are still registered, so every APGRE solve reports the same keys.
+TEST(ApgreBc, PeeledForestStillRegistersKernelCounters) {
   ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;
-  opts.hybrid_inner = true;
+  opts.partition.peel_two_core = true;
+  const CsrGraph g = random_tree(40, 5);
+  ApgreStats stats;
+  testing::expect_scores_near(brandes_bc(g), apgre_bc(g, opts, &stats));
+  EXPECT_EQ(stats.peeled_vertices, g.num_vertices());
+  std::vector<std::string> names;
+  for (const MetricSample& sample : metrics().snapshot()) {
+    names.push_back(sample.name);
+  }
+  for (const char* key : {"bc.apgre.sources", "bc.apgre.traversed_arcs"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), key), names.end()) << key;
+  }
+}
+
+TEST(ApgreBc, ForcedFineGrainedPathStillExact) {
+  const CsrGraph g = hub_with_fringe(3, 4100, 2);
+  expect_few_root_split_exact(g, /*threads=*/2);
+  expect_scheduled_kernel_exact(g, /*hybrid_inner=*/false, /*threads=*/2);
+}
+
+// Direction-optimising forward phase inside the level-synchronous kernel,
+// across the whole tiny corpus (directed graphs, boundary APs, alpha/beta
+// shapes) and the few-root hubs.
+TEST(ApgreBc, HybridInnerKernelStillExact) {
   for (const auto& gc : testing::graph_family(63, /*tiny=*/true)) {
     SCOPED_TRACE(gc.name);
-    expect_apgre_matches_brandes(gc.graph, opts, /*threads=*/2);
+    expect_scheduled_kernel_exact(gc.graph, /*hybrid_inner=*/true,
+                                  /*threads=*/2);
   }
+  expect_scheduled_kernel_exact(hub_with_fringe(3, 4100, 3),
+                                /*hybrid_inner=*/true, /*threads=*/2);
+  expect_scheduled_kernel_exact(directed_hub_with_fringe(3, 8200, 4),
+                                /*hybrid_inner=*/true, /*threads=*/2);
+}
+
+// The cost model splits the giant block of a road grid (~600 roots, ~2k
+// arcs) into root batches at four workers: judged by size alone, a block
+// this small would run as one serial task.
+TEST(ApgreBc, CostModelSplitsRoadGridGiantBlock) {
+  const CsrGraph g = attach_pendants(
+      attach_chains(largest_component(road_grid(22, 22, 0.25, 0.08, 1)).graph,
+                    40, 3, 2),
+      120, 3);
+  ApgreStats stats;
+  testing::expect_scores_near(brandes_bc(g), apgre_bc(g, {}, &stats, {}, 4));
+  EXPECT_GE(stats.num_batch_tasks, 4u);
+  EXPECT_LT(stats.top_arcs, 4096u) << "no longer a small giant block";
+}
+
+// With one worker nothing is split: exactly one task per sub-graph.
+TEST(ApgreBc, CostModelKeepsOneTaskPerSubgraphInline) {
+  const CsrGraph g = attach_pendants(
+      attach_chains(largest_component(road_grid(22, 22, 0.25, 0.08, 1)).graph,
+                    40, 3, 2),
+      120, 3);
+  ApgreStats stats;
+  testing::expect_scores_near(brandes_bc(g), apgre_bc(g, {}, &stats, {}, 1));
+  EXPECT_EQ(stats.num_batch_tasks, 0u);
+  EXPECT_EQ(stats.num_subgraph_tasks, stats.num_subgraphs);
+  EXPECT_EQ(stats.sched_tasks, stats.num_subgraphs);
 }
 
 TEST(ApgreBc, HybridSubgraphKernelMatchesSerial) {
@@ -183,11 +290,10 @@ TEST(ApgreBc, GammaDisabledStillExact) {
 }
 
 TEST(ApgreBc, OversubscribedThreadsStillExact) {
-  ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;
-  const CsrGraph g = testing::graph_family(31, /*tiny=*/false)[5].graph;
-  expect_apgre_matches_brandes(g, opts, /*threads=*/4);
+  // An odd width of three workers on any host, a single-core one included.
+  const CsrGraph g = hub_with_fringe(5, 6200, 6);
+  expect_few_root_split_exact(g, /*threads=*/3);
+  expect_scheduled_kernel_exact(g, /*hybrid_inner=*/false, /*threads=*/3);
 }
 
 // ---- Property sweeps ------------------------------------------------------

@@ -115,12 +115,39 @@ TEST_F(BenchRegressTest, ReportMatchesSchema) {
       EXPECT_GT(stats.at("mteps_median").as_double(), 0.0);
       EXPECT_TRUE(stats.at("metrics").is_object());
       EXPECT_TRUE(stats.at("spans").is_object());
-      // The kernels report into the registry under their own prefix.
+      // The kernels report into the registry under their own prefix, and
+      // only what this measurement wrote is in its snapshot: the serial
+      // entry carries no APGRE counters left registered by earlier runs.
+      const JsonValue& metrics = stats.at("metrics");
       const std::string prefix = name == "serial" ? "bc.serial." : "bc.apgre.";
-      EXPECT_TRUE(stats.at("metrics").contains(prefix + "traversed_arcs"));
+      ASSERT_TRUE(metrics.contains(prefix + "traversed_arcs")) << name;
+      EXPECT_GT(metrics.at(prefix + "traversed_arcs").as_double(), 0.0)
+          << name;
+      if (name == "serial") {
+        for (const auto& [key, value] : metrics.as_object()) {
+          EXPECT_NE(key.rfind("bc.apgre.", 0), 0u) << key;
+          EXPECT_NE(key.rfind("apgre.", 0), 0u) << key;
+        }
+      }
     }
   }
   EXPECT_TRUE(saw_skewed) << "skewed scheduler workload missing from report";
+}
+
+// With both APGRE and the source-parallel baseline in the set, every graph
+// carries their median ratio, and the progress line prints it.
+TEST_F(BenchRegressTest, ReportsApgreOverCoarse) {
+  const CommandResult r =
+      run_tool("--repeat 1 --warmup 0 --algo-set coarse,apgre --seed 3 "
+               "--threads 2 --out " +
+               report_path_);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("apgre/coarse"), std::string::npos) << r.output;
+  const JsonValue report = read_report();
+  for (const JsonValue& result : report.at("results").as_array()) {
+    SCOPED_TRACE(result.at("graph").as_string());
+    EXPECT_GT(result.at("apgre_over_coarse").as_double(), 0.0);
+  }
 }
 
 TEST_F(BenchRegressTest, ServiceWorkloadReportsThroughput) {

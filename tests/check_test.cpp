@@ -404,6 +404,54 @@ TEST(CheckSweep, ApgreStatsInvariantsHoldAcrossCorpus) {
   }
 }
 
+// The same invariants for peeled solves, checked against the peeled core
+// reduction the solve scored (forests peel to nothing, directed inputs
+// bypass the peel).
+TEST(CheckSweep, ApgreStatsInvariantsHoldAcrossCorpusWithPeel) {
+  for (std::uint64_t seed = 1; seed <= kInvariantSeeds; ++seed) {
+    for (const CorpusCase& c : graph_corpus(seed, /*tiny=*/true)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " + c.name);
+      BcOptions opts;
+      opts.algorithm = Algorithm::kApgre;
+      opts.apgre.partition.peel_two_core = true;
+      const BcResult result = betweenness(c.graph, opts);
+      for (const std::string& v :
+           check_stats_invariants(c.graph, result.apgre_stats, opts.apgre)) {
+        ADD_FAILURE() << v;
+      }
+    }
+  }
+}
+
+TEST(CheckInvariants, CorruptedPeeledStatsAreFlagged) {
+  const CsrGraph g = attach_pendants(caveman(4, 6, 2), 10, 3);
+  BcOptions opts;
+  opts.algorithm = Algorithm::kApgre;
+  opts.apgre.partition.peel_two_core = true;
+  const ApgreStats stats = betweenness(g, opts).apgre_stats;
+  ASSERT_GT(stats.peeled_vertices, 0u);
+  ASSERT_TRUE(check_stats_invariants(g, stats, opts.apgre).empty());
+  // Peeled stats against the unpeeled reference are still recognised as
+  // peeled: the reference follows the stats' peeled-vertex count.
+  EXPECT_TRUE(check_stats_invariants(g, stats).empty());
+
+  ApgreStats wrong_peel = stats;
+  wrong_peel.peeled_vertices += 1;
+  EXPECT_FALSE(check_stats_invariants(g, wrong_peel, opts.apgre).empty());
+
+  ApgreStats unpeeled = stats;
+  unpeeled.peeled_vertices = 0;
+  EXPECT_FALSE(check_stats_invariants(g, unpeeled, opts.apgre).empty());
+
+  ApgreStats wrong_pendants = stats;
+  wrong_pendants.num_pendants_removed += 1;
+  EXPECT_FALSE(check_stats_invariants(g, wrong_pendants, opts.apgre).empty());
+
+  ApgreStats wrong_redundancy = stats;
+  wrong_redundancy.total_redundancy = 0.0;
+  EXPECT_FALSE(check_stats_invariants(g, wrong_redundancy, opts.apgre).empty());
+}
+
 TEST(CheckInvariants, CorruptedStatsAreFlagged) {
   const CsrGraph g = attach_pendants(caveman(4, 6, 2), 10, 3);
   BcOptions opts;

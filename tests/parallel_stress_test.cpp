@@ -150,9 +150,6 @@ TEST(ParallelStressTest, SchedulerMatchesSerialOnSkewedDecomposition) {
         opts.threads = threads;
         opts.scheduler.grain = grain;
         opts.scheduler.steal_policy = policy;
-        // Force everything through the task path so the deques see the
-        // giant core too, not just the satellite tail.
-        opts.scheduler.adaptive_kernel = (grain != 1);
         const std::string tag = "skewed grain " + std::to_string(grain) +
                                 " policy " + steal_policy_name(policy);
         for (int rep = 0; rep < kRepetitions; ++rep) {

@@ -82,7 +82,6 @@ TEST(Solver, ScoringOnlyKnobsKeepTheCache) {
   BcOptions tuned;
   tuned.scheduler.grain = 4;
   tuned.scheduler.steal_policy = StealPolicy::kSequential;
-  tuned.apgre.hybrid_inner = true;
   const BcResult r = solver.solve(tuned);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(decompositions(), after_first);
@@ -395,10 +394,6 @@ TEST(ValidateOptions, RejectsBadValuesWithoutThrowing) {
   EXPECT_TRUE(validate_options(bad_threads).ok());
   bad_threads.threads = WorkStealingScheduler::kMaxWorkers + 1;
   EXPECT_EQ(validate_options(bad_threads).code, StatusCode::kInvalidOption);
-
-  BcOptions bad_fraction;
-  bad_fraction.apgre.fine_grain_fraction = 1.5;
-  EXPECT_EQ(validate_options(bad_fraction).code, StatusCode::kInvalidOption);
 
   BcOptions bad_grain;
   bad_grain.scheduler.grain = -1;

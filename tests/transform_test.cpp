@@ -322,9 +322,7 @@ TEST(TwoCorePeel, WeightedCoreSolveMatchesBrandesUnderBothReachMethods) {
     Decomposition dec = decompose(core, popts);
     inject_pendant_weights(dec, peel.anchor_weight);
     compute_reach_counts(core, dec, method, &peel.anchor_weight);
-    ApgreOptions opts;
-    opts.partition = popts;
-    std::vector<double> scores = apgre_bc_with_decomposition(core, dec, opts);
+    std::vector<double> scores = apgre_bc_with_decomposition(core, dec);
     expand_peeled_scores(peel, scores);
     testing::expect_scores_near(expected, scores);
   }

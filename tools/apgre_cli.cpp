@@ -91,13 +91,10 @@ int main(int argc, char** argv) {
       .add_bool("halve-undirected", false,
                 "report conventional undirected scores (each pair once)")
       .add_int("grain", 0,
-               "apgre scheduler: roots per task when splitting a large "
+               "apgre scheduler: roots per task when splitting a costly "
                "sub-graph (0 = auto)")
       .add_string("steal-policy", "random",
                   "apgre scheduler victim selection: random | sequential")
-      .add_bool("adaptive-kernel", true,
-                "apgre scheduler: pick the per-sub-graph kernel from "
-                "size/root heuristics")
       .add_bool("peel", false,
                 "apgre: peel degree-<=1 vertices to the 2-core before "
                 "decomposition (exact; undirected only)")
@@ -185,7 +182,6 @@ int main(int argc, char** argv) {
     opts.scheduler.grain = static_cast<int>(flags.get_int("grain"));
     opts.scheduler.steal_policy =
         steal_policy_from_name(flags.get_string("steal-policy"));
-    opts.scheduler.adaptive_kernel = flags.get_bool("adaptive-kernel");
     opts.apgre.partition.peel_two_core = flags.get_bool("peel");
 
     const BcResult result = betweenness(g, opts);
@@ -209,11 +205,10 @@ int main(int argc, char** argv) {
                     100.0 * result.apgre_stats.core_fraction,
                     result.apgre_stats.peel_seconds);
       }
-      std::printf("scheduler: %d workers, %llu tasks (%zu fine / %zu batch / "
-                  "%zu whole), %llu steals, %.3f s idle\n",
+      std::printf("scheduler: %d workers, %llu tasks (%zu batch / %zu whole), "
+                  "%llu steals, %.3f s idle\n",
                   result.apgre_stats.sched_workers,
                   static_cast<unsigned long long>(result.apgre_stats.sched_tasks),
-                  result.apgre_stats.num_fine_subgraphs,
                   result.apgre_stats.num_batch_tasks,
                   result.apgre_stats.num_subgraph_tasks,
                   static_cast<unsigned long long>(result.apgre_stats.sched_steals),

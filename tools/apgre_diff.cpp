@@ -255,7 +255,8 @@ int main(int argc, char** argv) {
         apgre_run.threads = oracle.threads;
         const BcResult result = betweenness(c.graph, apgre_run);
         for (std::string& v :
-             check_stats_invariants(c.graph, result.apgre_stats)) {
+             check_stats_invariants(c.graph, result.apgre_stats,
+                                    apgre_run.apgre)) {
           violations.push_back(std::move(v));
         }
         if (!violations.empty()) {

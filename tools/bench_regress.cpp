@@ -123,17 +123,19 @@ JsonValue aggregate_spans(const std::vector<SpanRecord>& spans) {
   return JsonValue(std::move(out));
 }
 
-/// Non-zero registry entries as name -> number (histograms as {count, sum}).
+/// Registry entries written since the last reset, as name -> number
+/// (histograms as {count, sum}). A counter added 0 is kept: a forest that
+/// peels to nothing runs no APGRE source, and its report still says so.
 JsonValue snapshot_metrics() {
   JsonValue::Object out;
   for (const MetricSample& s : metrics().snapshot()) {
+    if (!s.written) continue;
     if (s.kind == MetricKind::kHistogram) {
-      if (s.number == 0.0) continue;  // no observations
       JsonValue::Object h;
       h["count"] = JsonValue(s.number);
       h["sum"] = JsonValue(s.histogram_sum);
       out[s.name] = JsonValue(std::move(h));
-    } else if (s.number != 0.0) {
+    } else {
       out[s.name] = JsonValue(s.number);
     }
   }
@@ -1094,10 +1096,26 @@ int main(int argc, char** argv) {
     entry["vertices"] = JsonValue(static_cast<std::uint64_t>(bg.graph.num_vertices()));
     entry["arcs"] = JsonValue(static_cast<std::uint64_t>(bg.graph.num_arcs()));
     entry["directed"] = JsonValue(bg.graph.directed());
+    // The paper's bar: APGRE against the trivial source-parallel baseline
+    // at the same width (median over median; below 1 means APGRE wins).
+    double apgre_over_coarse = 0.0;
+    if (algorithms.count("apgre") != 0 && algorithms.count("coarse") != 0) {
+      const double coarse =
+          algorithms.at("coarse").at("seconds_median").as_double();
+      if (coarse > 0.0) {
+        apgre_over_coarse =
+            algorithms.at("apgre").at("seconds_median").as_double() / coarse;
+        entry["apgre_over_coarse"] = JsonValue(apgre_over_coarse);
+      }
+    }
     entry["algorithms"] = JsonValue(std::move(algorithms));
     results.push_back(JsonValue(std::move(entry)));
-    std::fprintf(stderr, "measured %s (%u vertices)\n", bg.name.c_str(),
+    std::fprintf(stderr, "measured %s (%u vertices)", bg.name.c_str(),
                  static_cast<unsigned>(bg.graph.num_vertices()));
+    if (apgre_over_coarse > 0.0) {
+      std::fprintf(stderr, ", apgre/coarse %.2f", apgre_over_coarse);
+    }
+    std::fprintf(stderr, "\n");
   }
 
   JsonValue::Object report;
